@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -318,8 +319,21 @@ def _add_problem_flags(sub: argparse.ArgumentParser, with_mode: bool) -> None:
         )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a negative ratio such as ``-3/2`` as a value, not an option.
+
+    argparse takes an argument that starts with '-' for a value only if
+    it looks like a negative number, and its pattern for that covers
+    ``-1`` and ``-0.5`` but not ``-3/2``.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d+(/\d+)?\Z|-\d*\.\d+\Z")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="interpbisect",
         description=(
             "Interval halving with a continuously selected pivot: run it, "

@@ -20,6 +20,10 @@ integer ratios: ``p/q`` with ``q > 0`` is a single rational constant
 unless a ``^`` follows, so ``3/4`` is the constant 3/4 while ``3/4^2``
 divides 3 by 4 squared.  A ratio never forms in the right operand of a
 division; ``x/2/3`` stays left-associative ``(x/2)/3``.
+
+Evaluation compiles each expression once per backend, on its first
+evaluation, into closures cached on the expression object; see the
+Evaluation section below.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Tuple, Union
+from math import gcd
+from typing import Iterator, Tuple, Union
 
 __all__ = [
     "Var",
@@ -52,13 +57,28 @@ __all__ = [
 ]
 
 
+class _Node:
+    """Base of the expression nodes.
+
+    ``eval_exact``/``eval_float`` cache compiled closures on the node they
+    evaluate.  Closures cannot be pickled, so the cache stays out of the
+    pickled (and copied) state and is rebuilt on first use.
+    """
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _CODE_ATTRS}
+
+
+_CODE_ATTRS = ("_exact_code", "_float_code")
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     """The single free variable ``x``."""
 
 
 @dataclass(frozen=True)
-class RationalConst:
+class RationalConst(_Node):
     value: Fraction
 
     def __post_init__(self) -> None:
@@ -67,36 +87,36 @@ class RationalConst:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "FunctionExpr"
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     left: "FunctionExpr"
     right: "FunctionExpr"
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Node):
     left: "FunctionExpr"
     right: "FunctionExpr"
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     left: "FunctionExpr"
     right: "FunctionExpr"
 
 
 @dataclass(frozen=True)
-class Div:
+class Div(_Node):
     left: "FunctionExpr"
     right: "FunctionExpr"
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: "FunctionExpr"
     exponent: int
 
@@ -108,19 +128,19 @@ class Pow:
 
 
 @dataclass(frozen=True)
-class Min:
+class Min(_Node):
     left: "FunctionExpr"
     right: "FunctionExpr"
 
 
 @dataclass(frozen=True)
-class Max:
+class Max(_Node):
     left: "FunctionExpr"
     right: "FunctionExpr"
 
 
 @dataclass(frozen=True)
-class Abs:
+class Abs(_Node):
     operand: "FunctionExpr"
 
 
@@ -128,7 +148,7 @@ FunctionExpr = Union[Var, RationalConst, Neg, Add, Sub, Mul, Div, Pow, Min, Max,
 
 
 class ParseError(ValueError):
-    """Syntax error with a byte offset and the token set that was legal there."""
+    """Syntax error at a character index, with the token set that was legal there."""
 
     def __init__(self, offset: int, expected: frozenset, found: str):
         self.offset = offset
@@ -152,55 +172,292 @@ class EvalError(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# Each expression compiles once per backend into nested closures, cached
+# on the expression object (the frozen fields, and with them equality,
+# hashing and repr, are untouched).  Subtrees without ``x`` fold to
+# constants at compile time.  A subtree that divides by zero stays a
+# closure and raises when it runs, so an error names the same node and
+# the same ``x`` as a left-to-right walk of the tree would.
+#
+# Exact closures map x, passed as its numerator and denominator, to a
+# value pair (num, den) with den > 0.  A node with one constant operand
+# keeps its result in lowest terms with the formulas of CPython's
+# ``Fraction._add``/``_mul``, whose gcds are against the constant's small
+# terms.  Sums, products and quotients of two x-dependent subtrees skip
+# the gcd, and eval_exact normalizes once at the end, with no gcd at all
+# where the compiler proved the pair already reduced.
 
 
-def _evaluate(expr: FunctionExpr, x, lift: Callable[[Fraction], object], path: Tuple[str, ...]):
+def _coprime_maker(cls=Fraction):
+    """Return ``make(num, den)`` that builds ``cls(num, den)`` without a gcd.
+
+    The caller guarantees ``gcd(num, den) == 1`` and ``den > 0``.  CPython
+    >= 3.12 has ``Fraction._from_coprime_ints``, <= 3.11 the
+    ``_normalize=False`` keyword; otherwise this falls back to plain
+    ``cls(num, den)``, which normalizes.
+    """
+    make = getattr(cls, "_from_coprime_ints", None)
+    if make is not None:
+        return make
+    try:
+        cls(1, 1, _normalize=False)
+    except TypeError:
+        return cls
+    return lambda num, den: cls(num, den, _normalize=False)
+
+
+_coprime = _coprime_maker()
+
+
+def _raise_at(path: Tuple[str, ...]):
+    def raise_(n, d):
+        raise EvalError(Fraction(n, d), path)
+
+    return raise_
+
+
+def _exact_const(num: int, den: int):
+    return (lambda n, d: (num, den)), (num, den), True
+
+
+def _exact_add_const(f, cn: int, cd: int):
+    """``f + cn/cd``, in lowest terms whenever f's results are."""
+    if cd == 1:
+        def add(n, d):
+            a, b = f(n, d)
+            return a + cn * b, b
+
+        return add
+
+    def add(n, d):
+        a, b = f(n, d)
+        g = gcd(b, cd)
+        if g == 1:
+            return a * cd + cn * b, b * cd
+        s = b // g
+        t = a * (cd // g) + cn * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return t, s * cd
+        return t // g2, s * (cd // g2)
+
+    return add
+
+
+def _exact_mul_const(f, cn: int, cd: int):
+    """``f * cn/cd``, in lowest terms whenever f's results are."""
+    if cd == 1:
+        def mul(n, d):
+            a, b = f(n, d)
+            g = gcd(cn, b)
+            if g > 1:
+                return a * (cn // g), b // g
+            return a * cn, b
+
+        return mul
+
+    def mul(n, d):
+        a, b = f(n, d)
+        g = gcd(a, cd)
+        e = cd
+        if g > 1:
+            a //= g
+            e //= g
+        g = gcd(cn, b)
+        if g > 1:
+            return a * (cn // g), e * (b // g)
+        return a * cn, e * b
+
+    return mul
+
+
+def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
+    """``(fn, const, reduced)`` for ``expr``.
+
+    ``fn(xn, xd)`` returns the value at x = xn/xd as a pair (num, den)
+    with den > 0; ``const`` is that pair, in lowest terms, when ``expr``
+    has no x and evaluates without error, else None; ``reduced`` says
+    every pair fn returns for a reduced x is in lowest terms.
+    """
     if isinstance(expr, Var):
-        return x
+        return (lambda n, d: (n, d)), None, True
     if isinstance(expr, RationalConst):
-        return lift(expr.value)
-    if isinstance(expr, Neg):
-        return -_evaluate(expr.operand, x, lift, path + ("Neg",))
-    if isinstance(expr, Add):
-        return _evaluate(expr.left, x, lift, path + ("Add[0]",)) + _evaluate(
-            expr.right, x, lift, path + ("Add[1]",)
+        return _exact_const(expr.value.numerator, expr.value.denominator)
+
+    name = type(expr).__name__
+    if isinstance(expr, (Neg, Abs, Pow)):
+        f, const, reduced = _compile_exact(
+            expr.base if isinstance(expr, Pow) else expr.operand, path + (name,)
         )
-    if isinstance(expr, Sub):
-        return _evaluate(expr.left, x, lift, path + ("Sub[0]",)) - _evaluate(
-            expr.right, x, lift, path + ("Sub[1]",)
+        children = (const,)
+        if isinstance(expr, Neg):
+            def fn(n, d):
+                a, b = f(n, d)
+                return -a, b
+        elif isinstance(expr, Abs):
+            def fn(n, d):
+                a, b = f(n, d)
+                return abs(a), b
+        else:
+            k = expr.exponent
+
+            def fn(n, d):
+                a, b = f(n, d)
+                return a**k, b**k
+    elif isinstance(expr, (Add, Sub, Mul, Div, Min, Max)):
+        f, cf, rf = _compile_exact(expr.left, path + (f"{name}[0]",))
+        g, cg, rg = _compile_exact(expr.right, path + (f"{name}[1]",))
+        children = (cf, cg)
+        reduced = rf and rg
+        if isinstance(expr, Div) and cg is not None:
+            if cg[0] == 0:
+                raise_ = _raise_at(path + ("Div",))
+
+                def fn(n, d):
+                    f(n, d)
+                    raise_(n, d)
+            else:
+                # u / (p/q) is u * (q/p), with the sign moved to the numerator.
+                sign = -1 if cg[0] < 0 else 1
+                fn = _exact_mul_const(f, sign * cg[1], sign * cg[0])
+        elif isinstance(expr, Div):
+            raise_ = _raise_at(path + ("Div",))
+            reduced = False
+
+            def fn(n, d):
+                a, b = f(n, d)
+                c, e = g(n, d)
+                if c > 0:
+                    return a * e, b * c
+                if c < 0:
+                    return -a * e, -b * c
+                raise_(n, d)
+        elif isinstance(expr, Min):
+            def fn(n, d):
+                u = f(n, d)
+                v = g(n, d)
+                return v if v[0] * u[1] < u[0] * v[1] else u
+        elif isinstance(expr, Max):
+            def fn(n, d):
+                u = f(n, d)
+                v = g(n, d)
+                return v if u[0] * v[1] < v[0] * u[1] else u
+        elif cf is not None or cg is not None:
+            # One constant operand (both constant folds below).
+            if isinstance(expr, Sub):
+                if cg is not None:
+                    cg = (-cg[0], cg[1])
+                else:
+                    g0 = g
+
+                    def g(n, d):
+                        a, b = g0(n, d)
+                        return -a, b
+
+            u, (cn, cd) = (f, cg) if cg is not None else (g, cf)
+            combine = _exact_mul_const if isinstance(expr, Mul) else _exact_add_const
+            fn = combine(u, cn, cd)
+        else:
+            reduced = False
+            if isinstance(expr, Add):
+                def fn(n, d):
+                    a, b = f(n, d)
+                    c, e = g(n, d)
+                    return a * e + c * b, b * e
+            elif isinstance(expr, Sub):
+                def fn(n, d):
+                    a, b = f(n, d)
+                    c, e = g(n, d)
+                    return a * e - c * b, b * e
+            else:
+                def fn(n, d):
+                    a, b = f(n, d)
+                    c, e = g(n, d)
+                    return a * c, b * e
+    else:
+        raise TypeError(f"not a function expression: {expr!r}")
+
+    if None in children:
+        return fn, None, reduced
+    try:
+        value = Fraction(*fn(0, 1))
+    except EvalError:
+        return fn, None, reduced
+    return _exact_const(value.numerator, value.denominator)
+
+
+def _compile_float(expr: FunctionExpr, path: Tuple[str, ...]):
+    """``(fn, const)``: fn(x) in IEEE binary64, const its value without x."""
+    if isinstance(expr, Var):
+        return (lambda x: x), None
+    if isinstance(expr, RationalConst):
+        q = expr.value
+        try:
+            c = float(q)
+        except OverflowError:
+            # Out of float range: raise at every evaluation, not at compile time.
+            return (lambda x: float(q)), None
+        return (lambda x: c), c
+
+    name = type(expr).__name__
+    if isinstance(expr, (Neg, Abs, Pow)):
+        f, const = _compile_float(
+            expr.base if isinstance(expr, Pow) else expr.operand, path + (name,)
         )
-    if isinstance(expr, Mul):
-        return _evaluate(expr.left, x, lift, path + ("Mul[0]",)) * _evaluate(
-            expr.right, x, lift, path + ("Mul[1]",)
-        )
-    if isinstance(expr, Div):
-        num = _evaluate(expr.left, x, lift, path + ("Div[0]",))
-        den = _evaluate(expr.right, x, lift, path + ("Div[1]",))
-        if den == 0:
-            raise EvalError(x, path + ("Div",))
-        return num / den
-    if isinstance(expr, Pow):
-        base = _evaluate(expr.base, x, lift, path + ("Pow",))
-        if isinstance(base, float):
-            try:
-                return base**expr.exponent
-            except OverflowError:
-                sign = -1.0 if (base < 0 and expr.exponent % 2 == 1) else 1.0
-                return sign * math.inf
-        return base**expr.exponent
-    if isinstance(expr, Min):
-        return min(
-            _evaluate(expr.left, x, lift, path + ("Min[0]",)),
-            _evaluate(expr.right, x, lift, path + ("Min[1]",)),
-        )
-    if isinstance(expr, Max):
-        return max(
-            _evaluate(expr.left, x, lift, path + ("Max[0]",)),
-            _evaluate(expr.right, x, lift, path + ("Max[1]",)),
-        )
-    if isinstance(expr, Abs):
-        return abs(_evaluate(expr.operand, x, lift, path + ("Abs",)))
-    raise TypeError(f"not a function expression: {expr!r}")
+        children = (const,)
+        if isinstance(expr, Neg):
+            fn = lambda x: -f(x)
+        elif isinstance(expr, Abs):
+            fn = lambda x: abs(f(x))
+        else:
+            k = expr.exponent
+
+            def fn(x):
+                base = f(x)
+                try:
+                    return base**k
+                except OverflowError:
+                    return -math.inf if base < 0 and k % 2 == 1 else math.inf
+    elif isinstance(expr, (Add, Sub, Mul, Div, Min, Max)):
+        f, cf = _compile_float(expr.left, path + (f"{name}[0]",))
+        g, cg = _compile_float(expr.right, path + (f"{name}[1]",))
+        children = (cf, cg)
+        if isinstance(expr, Add):
+            fn = lambda x: f(x) + g(x)
+        elif isinstance(expr, Sub):
+            fn = lambda x: f(x) - g(x)
+        elif isinstance(expr, Mul):
+            fn = lambda x: f(x) * g(x)
+        elif isinstance(expr, Min):
+            fn = lambda x: min(f(x), g(x))
+        elif isinstance(expr, Max):
+            fn = lambda x: max(f(x), g(x))
+        else:
+            div_path = path + ("Div",)
+
+            def fn(x):
+                num = f(x)
+                den = g(x)
+                if den == 0:
+                    raise EvalError(x, div_path)
+                return num / den
+    else:
+        raise TypeError(f"not a function expression: {expr!r}")
+
+    if None in children:
+        return fn, None
+    try:
+        value = fn(0.0)
+    except EvalError:
+        return fn, None
+    return (lambda x: value), value
+
+
+def _compiled(expr: FunctionExpr, attr: str, compile_):
+    code = compile_(expr, ())
+    object.__setattr__(expr, attr, code)
+    return code
 
 
 def eval_exact(expr: FunctionExpr, x: Fraction) -> Fraction:
@@ -209,16 +466,28 @@ def eval_exact(expr: FunctionExpr, x: Fraction) -> Fraction:
     Raises:
         EvalError: if a denominator is exactly zero at ``x``.
     """
-    return _evaluate(expr, Fraction(x), lambda q: q, ())
+    try:
+        fn, _, reduced = expr._exact_code
+    except AttributeError:
+        fn, _, reduced = _compiled(expr, "_exact_code", _compile_exact)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    num, den = fn(x.numerator, x.denominator)
+    return _coprime(num, den) if reduced else Fraction(num, den)
 
 
 def eval_float(expr: FunctionExpr, x: float) -> float:
     """Evaluate in IEEE binary64, rounding every operation to nearest.
 
-    Constants round once on entry.  Overflow follows float semantics
-    (infinities propagate); only an exactly-zero denominator raises.
+    Constants round once, at compile time.  Overflow follows float
+    semantics (infinities propagate); only an exactly-zero denominator
+    raises.
     """
-    return _evaluate(expr, float(x), float, ())
+    try:
+        fn, _ = expr._float_code
+    except AttributeError:
+        fn, _ = _compiled(expr, "_float_code", _compile_float)
+    return fn(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +684,9 @@ def parse(text: str) -> FunctionExpr:
     """Parse concrete syntax into an expression tree.
 
     Raises:
-        ParseError: on any syntax error, carrying ``offset`` (bytes into
-            ``text``), ``expected`` (legal tokens there), and ``found``.
+        ParseError: on any syntax error, carrying ``offset`` (the
+            character index into ``text``), ``expected`` (legal tokens
+            there), and ``found``.
     """
     return _Parser(text).parse()
 

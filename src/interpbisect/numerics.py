@@ -16,7 +16,9 @@ decimal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -69,17 +71,30 @@ def clamp_unit(x: Scalar) -> Scalar:
 
 def format_rational(q: Fraction) -> str:
     """Render ``q`` as ``num/den``, denominator always present."""
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # str(int) refuses more than sys.get_int_max_str_digits() digits
+        # (4300 by default); Decimal converts exactly with no such limit.
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``num/den``, integer, or decimal text into an exact rational.
 
     Decimals convert exactly (``0.25`` -> 1/4), never through binary
-    floats.
+    floats.  Integer and ``num/den`` text may have any number of digits.
     """
     try:
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ValueError:
+            # Past the int-to-text digit limit (see format_rational), read
+            # the integers through Decimal.
+            match = re.fullmatch(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", text)
+            if match is None:
+                raise
+            return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 

@@ -242,11 +242,17 @@ def grid_oracle(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    # x_k = a + k (b - a) / grid_n over one common denominator, so each
+    # point costs one Fraction construction.
     width = b - a
+    den = a.denominator * width.denominator * grid_n
+    start = a.numerator * width.denominator * grid_n
+    stride = width.numerator * a.denominator
+    below = -epsilon  # test |f_x| < epsilon as below < f_x < epsilon
     for k in range(grid_n + 1):
-        x = a + Fraction(k, grid_n) * width
+        x = Fraction(start + k * stride, den)
         f_x = eval_exact(f, x)
-        if abs(f_x) < epsilon:
+        if below < f_x < epsilon:
             return WitnessCertificate(kind=WitnessKind.GRID, x=x, f_x=f_x, index=k)
     return None
 

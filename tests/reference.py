@@ -26,11 +26,14 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from interpbisect import (
+    Abs,
     Add,
+    Div,
     FunctionExpr,
     Max,
     Min,
     Mul,
+    Neg,
     Pow,
     RationalConst,
     Sub,
@@ -47,6 +50,60 @@ SAMPLE_TEXT = "min((1+6x^2)/7, 8+9x)"
 SAMPLE_A = Fraction(-1)
 SAMPLE_B = Fraction(1)
 SAMPLE_ROOT = Fraction(-8, 9)
+
+
+class WalkDivisionByZero(ArithmeticError):
+    """Raised by :func:`walk_eval` where a denominator is exactly zero."""
+
+    def __init__(self, x, path: Tuple[str, ...]):
+        super().__init__(x, path)
+        self.x = x
+        self.path = path
+
+
+def walk_eval(expr: FunctionExpr, x, lift, path: Tuple[str, ...] = ()):
+    """Value of ``expr`` at ``x`` by a plain recursive walk of the tree.
+
+    Exact with a Fraction ``x`` and ``lift=Fraction``: every node is one
+    Fraction operation.  Binary64 with a float ``x`` and ``lift=float``:
+    every node is one float operation, and a power that overflows gives
+    an infinity of the power's sign.  Children are evaluated left to
+    right; a zero denominator raises :class:`WalkDivisionByZero` with
+    ``x`` and the node labels from the root down to the division, the
+    location the package's ``EvalError`` promises.
+    """
+    if isinstance(expr, Var):
+        return x
+    if isinstance(expr, RationalConst):
+        return lift(expr.value)
+    name = type(expr).__name__
+    if isinstance(expr, (Neg, Abs)):
+        value = walk_eval(expr.operand, x, lift, path + (name,))
+        return -value if isinstance(expr, Neg) else abs(value)
+    if isinstance(expr, Pow):
+        base = walk_eval(expr.base, x, lift, path + (name,))
+        try:
+            return base**expr.exponent
+        except OverflowError:
+            odd = expr.exponent % 2 == 1
+            return -math.inf if base < 0 and odd else math.inf
+    left = walk_eval(expr.left, x, lift, path + (f"{name}[0]",))
+    right = walk_eval(expr.right, x, lift, path + (f"{name}[1]",))
+    if isinstance(expr, Add):
+        return left + right
+    if isinstance(expr, Sub):
+        return left - right
+    if isinstance(expr, Mul):
+        return left * right
+    if isinstance(expr, Div):
+        if right == 0:
+            raise WalkDivisionByZero(x, path + ("Div",))
+        return left / right
+    if isinstance(expr, Min):
+        return min(left, right)
+    if isinstance(expr, Max):
+        return max(left, right)
+    raise TypeError(expr)
 
 
 def textbook_bisection(

@@ -145,9 +145,7 @@ class TestRun:
         assert "offset 4" in err
 
     def test_division_by_zero_during_run(self, tmp_path, capsys):
-        # f(0) divides by zero and 0 is the very first midpoint; note the
-        # --a=-1/3 form, argparse only recognizes plain negative numbers
-        # as flag values
+        # f(0) divides by zero and 0 is the very first midpoint
         code, _, err = run_cli(
             ["run", "-f", "x+1/(100x)", "--a=-1/3", "--b", "1/3", "-e", "1/9",
              "--out", tmp_path / "x.jsonl"],
@@ -155,6 +153,31 @@ class TestRun:
         )
         assert code == EXIT_USAGE
         assert "division by zero" in err
+
+    @pytest.mark.parametrize(
+        "function,bounds,a,b",
+        [
+            ("x+1/3", ["--a", "-3/2", "--b", "1"], F(-3, 2), F(1)),
+            ("x+2", ["--a", "-5/2", "--b", "-1/3"], F(-5, 2), F(-1, 3)),
+        ],
+    )
+    def test_negative_fraction_endpoints(self, function, bounds, a, b, tmp_path, capsys):
+        out = tmp_path / "n.jsonl"
+        code, _, err = run_cli(
+            ["run", "-f", function, *bounds, "-e", "1/3", "--out", out], capsys
+        )
+        assert code == EXIT_OK, err
+        config = trace_from_jsonl(out.read_text()).config
+        assert (config.a, config.b) == (a, b)
+
+    def test_unknown_option_after_negative_fraction(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["run", "-f", "x+1/3", "--a", "-3/2", "--b", "1", "-e", "1/3",
+             "--bogus", "--out", tmp_path / "x.jsonl"],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --bogus" in err
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -1,12 +1,14 @@
 """Expression language: parsing, evaluation, printing."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interpbisect import funcdsl
 from interpbisect import (
     Abs,
     Add,
@@ -26,7 +28,7 @@ from interpbisect import (
     parse,
     to_text,
 )
-from reference import SAMPLE_TEXT
+from reference import SAMPLE_TEXT, WalkDivisionByZero, walk_eval
 
 F = Fraction
 X = Var()
@@ -180,6 +182,7 @@ class TestEvalFloat:
     def test_pow_overflow_goes_to_inf(self):
         assert eval_float(parse("x^3"), 1e200) == math.inf
         assert eval_float(parse("x^3"), -1e200) == -math.inf
+        assert eval_float(parse("x^4"), -1e200) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -331,3 +334,146 @@ class TestSemantics:
             assert eval_float(expr, float(x)) == pytest.approx(
                 float(eval_exact(expr, x)), abs=1e-13
             )
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluators against a plain tree walk (tests/reference.py)
+
+_signed_consts = st.fractions(min_value=-50, max_value=50, max_denominator=30).map(RationalConst)
+
+
+def _any_compound(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Abs, children),
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Div, children, st.just(C(0))),
+        st.builds(Pow, children, st.integers(min_value=0, max_value=3)),
+        st.builds(Min, children, children),
+        st.builds(Max, children, children),
+    )
+
+
+# Every node type, negative constants, subtrees without x (any subtree
+# whose leaves are all constants), nested min/max, and zero divisors,
+# both literal and computed.
+_eval_trees = st.recursive(st.one_of(st.just(X), _signed_consts), _any_compound, max_leaves=12)
+
+_big_ints = st.integers(min_value=1, max_value=2**2500)
+_exact_points = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40),
+    st.builds(lambda n, d, neg: F(-n if neg else n, d), _big_ints, _big_ints, st.booleans()),
+)
+_float_points = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(allow_nan=False),
+    st.floats(min_value=-4, max_value=4),
+)
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args), None
+    except (EvalError, WalkDivisionByZero) as exc:
+        return None, (exc.x, exc.path)
+
+
+def _same_float(u: float, v: float) -> bool:
+    return (u == v or (math.isnan(u) and math.isnan(v))) and math.copysign(
+        1.0, u
+    ) == math.copysign(1.0, v)
+
+
+class TestCompiledEvaluators:
+    @given(_eval_trees, _exact_points)
+    @settings(max_examples=300, deadline=None)
+    def test_exact_equals_walk_in_lowest_terms(self, expr, x):
+        got, got_error = _outcome(eval_exact, expr, x)
+        want, want_error = _outcome(walk_eval, expr, x, Fraction)
+        assert got_error == want_error
+        if want_error is None:
+            assert type(got) is Fraction
+            assert got == want
+            assert got.denominator > 0
+            assert math.gcd(got.numerator, got.denominator) == 1
+
+    @given(_eval_trees, _float_points)
+    @settings(max_examples=300, deadline=None)
+    def test_float_bit_identical_to_walk(self, expr, x):
+        got, got_error = _outcome(eval_float, expr, x)
+        want, want_error = _outcome(walk_eval, expr, x, float)
+        assert got_error == want_error
+        if want_error is None:
+            assert _same_float(got, want)
+
+    @pytest.mark.parametrize(
+        "text,x,path",
+        [
+            ("1/(x-1)", 1, ("Div",)),
+            ("x + 2/(3-3)", 5, ("Add[1]", "Div")),
+            ("min(x, 1/x) + 1/0", 0, ("Add[0]", "Min[1]", "Div")),
+            ("min(x, 1/x) + 1/0", 2, ("Add[1]", "Div")),
+            ("(1/x)^0", 0, ("Pow", "Div")),
+            ("abs(-(x/(x*0)))", 3, ("Abs", "Neg", "Div")),
+        ],
+    )
+    def test_error_location_in_both_backends(self, text, x, path):
+        expr = parse(text)
+        for evaluate, point in ((eval_exact, F(x)), (eval_float, float(x))):
+            with pytest.raises(EvalError) as err:
+                evaluate(expr, point)
+            assert err.value.path == path
+            assert err.value.x == point and type(err.value.x) is type(point)
+
+    def test_compiling_leaves_the_tree_unchanged(self):
+        tree = parse(SAMPLE_TEXT)
+        twin = parse(SAMPLE_TEXT)
+        before = (repr(tree), hash(tree))
+        assert eval_exact(tree, F(1, 3)) == eval_exact(twin, F(1, 3))
+        eval_float(tree, 0.25)
+        assert (repr(tree), hash(tree)) == before
+        assert tree == twin == SAMPLE_TREE
+        again = pickle.loads(pickle.dumps(tree))
+        assert again == tree and eval_exact(again, F(1, 3)) == eval_exact(tree, F(1, 3))
+
+
+class TestReducedFractionHelper:
+    """``_coprime_maker`` picks one of three ways to build a reduced Fraction."""
+
+    def test_this_interpreter(self):
+        make = funcdsl._coprime_maker()
+        q = make(6, 35)
+        assert type(q) is Fraction and (q.numerator, q.denominator) == (6, 35)
+        assert q == Fraction(6, 35)
+
+    def test_from_coprime_ints_is_used_when_present(self):
+        class Modern:  # Fraction on CPython >= 3.12
+            @classmethod
+            def _from_coprime_ints(cls, num, den):
+                return ("coprime", num, den)
+
+        assert funcdsl._coprime_maker(Modern)(3, 4) == ("coprime", 3, 4)
+
+    def test_normalize_keyword_is_used_when_accepted(self):
+        calls = []
+
+        class Legacy:  # Fraction on CPython <= 3.11
+            def __init__(self, num, den, _normalize=True):
+                calls.append((num, den, _normalize))
+
+        funcdsl._coprime_maker(Legacy)(3, 4)
+        assert calls[-1] == (3, 4, False)
+
+    def test_falls_back_to_the_normalizing_constructor(self):
+        class Plain:
+            def __init__(self, num, den):
+                self.args = (num, den)
+
+        make = funcdsl._coprime_maker(Plain)
+        assert make is Plain
+        assert make(4, 6).args == (4, 6)

@@ -1,5 +1,6 @@
 """Scalar layer: normalization, clamping, backends, text forms."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,11 @@ from interpbisect import (
     parse_rational,
     rat_normalize,
 )
+
+
+# CPython's cap on int <-> decimal text conversion (4,300 digits by
+# default; interpreters that predate the cap have none).
+TEXT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 
 
 class TestRatNormalize:
@@ -129,6 +135,19 @@ class TestTextForms:
     @given(st.fractions(min_value=-10**6, max_value=10**6))
     def test_format_parse_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    def test_integers_past_the_text_conversion_limit(self):
+        q = Fraction(-(10 ** (TEXT_DIGIT_LIMIT + 10)) - 7, 3 ** (3 * TEXT_DIGIT_LIMIT))
+        text = format_rational(q)
+        num, den = text.split("/")
+        assert len(num) > TEXT_DIGIT_LIMIT and len(den) > TEXT_DIGIT_LIMIT
+        assert parse_rational(text) == q
+        assert parse_rational(num) == q.numerator
+
+    @pytest.mark.parametrize("tail", ["/0", "/00", "/x", "/-1"])
+    def test_parse_rejects_long_malformed_text(self, tail):
+        with pytest.raises(ValueError):
+            parse_rational("1" * (TEXT_DIGIT_LIMIT + 1) + tail)
 
 
 class TestBackends:

@@ -1,6 +1,7 @@
 """Trace verification: per-step claim, witnesses, budgets, grid oracle."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,10 @@ from interpbisect import (
     parse,
     report_to_json,
     run,
+    trace_from_jsonl,
+    trace_to_jsonl,
 )
-from reference import SAMPLE_ROOT, textbook_bisection
+from reference import SAMPLE_A, SAMPLE_B, SAMPLE_ROOT, SAMPLE_TEXT, textbook_bisection
 
 F = Fraction
 
@@ -273,3 +276,19 @@ class TestReport:
         assert report["claim_holds"] is False
         assert report["claim"][0]["case"] == "violation"
         assert "continuity_budget" not in report
+
+
+def test_long_exact_run_round_trips_and_verifies():
+    # 200 exact steps grow the scalars past CPython's 4,300-digit limit on
+    # int <-> text conversion; the trace must still write, read back equal,
+    # and verify, with the process-wide limit left alone.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    f = parse(SAMPLE_TEXT)
+    trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=200), f)
+    assert trace.steps[-1].a_n.denominator.bit_length() > 14_300  # > 4,300 digits
+    back = trace_from_jsonl(trace_to_jsonl(trace))
+    assert back == trace
+    outcomes = check_claim(back, f)
+    assert len(outcomes) == 200
+    assert not [o for o in outcomes if isinstance(o.case, Violation)]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
