@@ -319,17 +319,27 @@ def _add_problem_flags(sub: argparse.ArgumentParser, with_mode: bool) -> None:
         )
 
 
+# A '-' that starts a negative ratio such as -3/2 or an expression such
+# as -x+1/3 or -min(x, 1): '-' followed by x, a digit, '.', '(' or a call.
+_NEGATIVE_VALUE = re.compile(r"-(?:[x0-9.(]|(?:min|max|abs)\()")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reads a negative ratio such as ``-3/2`` as a value, not an option.
+    """Reads ``-3/2`` and ``-x+1/3`` as values, not as options.
 
     argparse takes an argument that starts with '-' for a value only if
     it looks like a negative number, and its pattern for that covers
-    ``-1`` and ``-0.5`` but not ``-3/2``.  Subparsers inherit the class.
+    ``-1`` and ``-0.5`` but neither ``-3/2`` nor an expression.  An
+    argument that is no option string of the parser and starts like
+    :data:`_NEGATIVE_VALUE` is a value here; anything else starting with
+    '-' (``--bogus``, ``-z``) is still an option, and an unknown one is
+    still rejected.  Subparsers inherit the class.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\d+(/\d+)?\Z|-\d*\.\d+\Z")
+    def _parse_optional(self, arg_string):
+        if arg_string not in self._option_string_actions and _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

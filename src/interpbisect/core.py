@@ -43,6 +43,8 @@ from .numerics import (
     ScalarBackend,
     backend_from_name,
     clamp_unit,
+    reduced,
+    scalar_text,
 )
 
 __all__ = [
@@ -81,7 +83,8 @@ class SignPreconditionViolated(ValueError):
         self.f_a = f_a
         self.f_b = f_b
         super().__init__(
-            f"need f(a) < 0 < f(b), got f(a) = {f_a} and f(b) = {f_b}"
+            f"need f(a) < 0 < f(b), got f(a) = {scalar_text(f_a)} "
+            f"and f(b) = {scalar_text(f_b)}"
         )
 
 
@@ -145,7 +148,8 @@ class IterationState:
             raise ValueError(f"step index starts at 1, got {self.n}")
         if not self.a_n < self.b_n:
             raise ValueError(
-                f"degenerate interval at step {self.n}: [{self.a_n}, {self.b_n}]"
+                f"degenerate interval at step {self.n}: "
+                f"[{scalar_text(self.a_n)}, {scalar_text(self.b_n)}]"
             )
 
 
@@ -184,9 +188,19 @@ class Trace:
             raise ValueError("a trace records at least one step")
 
 
+# The exact branches below work on integer (num, den) pairs and reduce each
+# stored value once with numerics.reduced; Fraction operators would run a
+# full gcd per operation over the thousands of bits the windows grow to.
+
 def midpoint(state: IterationState) -> Scalar:
     """Midpoint of the current interval."""
-    return (state.a_n + state.b_n) / 2
+    a, b = state.a_n, state.b_n
+    if type(a) is Fraction is type(b):
+        return reduced(
+            a.numerator * b.denominator + b.numerator * a.denominator,
+            2 * a.denominator * b.denominator,
+        )
+    return (a + b) / 2
 
 
 def interpolation_weight(f_c: Scalar, epsilon: Scalar) -> Scalar:
@@ -204,7 +218,15 @@ def interpolation_weight(f_c: Scalar, epsilon: Scalar) -> Scalar:
         raise InvalidTolerance(f"epsilon must be positive, got {epsilon}")
     if isinstance(f_c, float):
         return clamp_unit(0.5 + f_c / epsilon)
-    return clamp_unit(Fraction(1, 2) + Fraction(f_c) / Fraction(epsilon))
+    f_c, epsilon = Fraction(f_c), Fraction(epsilon)
+    # 1/2 + f/e = (h + 2 f_num e_den) / 2h with h = f_den e_num > 0.
+    h = f_c.denominator * epsilon.numerator
+    num = h + 2 * f_c.numerator * epsilon.denominator
+    if num <= 0:
+        return Fraction(0)
+    if num >= 2 * h:
+        return Fraction(1)
+    return reduced(num, 2 * h)
 
 
 def classical_weight(f_c: Scalar) -> Scalar:
@@ -225,10 +247,27 @@ def step(state: IterationState, d: Scalar, original_width: Scalar) -> IterationS
         InvalidWeight: if ``d`` is outside [0, 1].
     """
     if not (0 <= d <= 1):
-        raise InvalidWeight(f"weight must lie in [0, 1], got {d}")
-    c = midpoint(state)
-    shift = d * original_width / 2**state.n
-    return IterationState(state.n + 1, c - shift, state.b_n - shift)
+        raise InvalidWeight(f"weight must lie in [0, 1], got {scalar_text(d)}")
+    return _advance(state, midpoint(state), d, original_width)
+
+
+def _advance(state: IterationState, c: Scalar, d: Scalar, width: Scalar) -> IterationState:
+    """:func:`step` given the midpoint ``c`` of ``state`` and a valid weight."""
+    b = state.b_n
+    if not (type(c) is type(b) is type(d) is type(width) is Fraction):
+        shift = d * width / 2**state.n
+        return IterationState(state.n + 1, c - shift, b - shift)
+    if not d:
+        return IterationState(state.n + 1, c, b)
+    # shift = sn / sd, unreduced; each endpoint is reduced once.
+    sn = d.numerator * width.numerator
+    sd = (d.denominator * width.denominator) << state.n
+    cd, bd = c.denominator, b.denominator
+    return IterationState(
+        state.n + 1,
+        reduced(c.numerator * sd - sn * cd, cd * sd),
+        reduced(b.numerator * sd - sn * bd, bd * sd),
+    )
 
 
 def cauchy_bound(m: int, original_width: Scalar) -> Scalar:
@@ -279,7 +318,7 @@ def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
             stopped_at = n
             break
         if n < config.max_steps:
-            state = step(state, d, width)
+            state = _advance(state, c, d, width)
 
     last = records[-1]
     return Trace(

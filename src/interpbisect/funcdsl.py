@@ -35,6 +35,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Tuple, Union
 
+from .numerics import _coprime, reduced, scalar_text
+
 __all__ = [
     "Var",
     "RationalConst",
@@ -167,7 +169,7 @@ class EvalError(ArithmeticError):
         self.x = x
         self.path = tuple(path)
         where = "/".join(self.path) or "(root)"
-        super().__init__(f"division by zero at x = {x} in node {where}")
+        super().__init__(f"division by zero at x = {scalar_text(x)} in node {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,29 +187,9 @@ class EvalError(ArithmeticError):
 # keeps its result in lowest terms with the formulas of CPython's
 # ``Fraction._add``/``_mul``, whose gcds are against the constant's small
 # terms.  Sums, products and quotients of two x-dependent subtrees skip
-# the gcd, and eval_exact normalizes once at the end, with no gcd at all
-# where the compiler proved the pair already reduced.
-
-
-def _coprime_maker(cls=Fraction):
-    """Return ``make(num, den)`` that builds ``cls(num, den)`` without a gcd.
-
-    The caller guarantees ``gcd(num, den) == 1`` and ``den > 0``.  CPython
-    >= 3.12 has ``Fraction._from_coprime_ints``, <= 3.11 the
-    ``_normalize=False`` keyword; otherwise this falls back to plain
-    ``cls(num, den)``, which normalizes.
-    """
-    make = getattr(cls, "_from_coprime_ints", None)
-    if make is not None:
-        return make
-    try:
-        cls(1, 1, _normalize=False)
-    except TypeError:
-        return cls
-    return lambda num, den: cls(num, den, _normalize=False)
-
-
-_coprime = _coprime_maker()
+# the gcd, and eval_exact normalizes once at the end: with no gcd at all
+# where the compiler proved the pair already reduced, else through
+# ``numerics.reduced``, which splits off the power of two first.
 
 
 def _raise_at(path: Tuple[str, ...]):
@@ -273,11 +255,11 @@ def _exact_mul_const(f, cn: int, cd: int):
 
 
 def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
-    """``(fn, const, reduced)`` for ``expr``.
+    """``(fn, const, lowest)`` for ``expr``.
 
     ``fn(xn, xd)`` returns the value at x = xn/xd as a pair (num, den)
     with den > 0; ``const`` is that pair, in lowest terms, when ``expr``
-    has no x and evaluates without error, else None; ``reduced`` says
+    has no x and evaluates without error, else None; ``lowest`` says
     every pair fn returns for a reduced x is in lowest terms.
     """
     if isinstance(expr, Var):
@@ -287,7 +269,7 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
 
     name = type(expr).__name__
     if isinstance(expr, (Neg, Abs, Pow)):
-        f, const, reduced = _compile_exact(
+        f, const, lowest = _compile_exact(
             expr.base if isinstance(expr, Pow) else expr.operand, path + (name,)
         )
         children = (const,)
@@ -309,7 +291,7 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
         f, cf, rf = _compile_exact(expr.left, path + (f"{name}[0]",))
         g, cg, rg = _compile_exact(expr.right, path + (f"{name}[1]",))
         children = (cf, cg)
-        reduced = rf and rg
+        lowest = rf and rg
         if isinstance(expr, Div) and cg is not None:
             if cg[0] == 0:
                 raise_ = _raise_at(path + ("Div",))
@@ -323,7 +305,7 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                 fn = _exact_mul_const(f, sign * cg[1], sign * cg[0])
         elif isinstance(expr, Div):
             raise_ = _raise_at(path + ("Div",))
-            reduced = False
+            lowest = False
 
             def fn(n, d):
                 a, b = f(n, d)
@@ -359,7 +341,7 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
             combine = _exact_mul_const if isinstance(expr, Mul) else _exact_add_const
             fn = combine(u, cn, cd)
         else:
-            reduced = False
+            lowest = False
             if isinstance(expr, Add):
                 def fn(n, d):
                     a, b = f(n, d)
@@ -379,11 +361,11 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
         raise TypeError(f"not a function expression: {expr!r}")
 
     if None in children:
-        return fn, None, reduced
+        return fn, None, lowest
     try:
         value = Fraction(*fn(0, 1))
     except EvalError:
-        return fn, None, reduced
+        return fn, None, lowest
     return _exact_const(value.numerator, value.denominator)
 
 
@@ -467,13 +449,13 @@ def eval_exact(expr: FunctionExpr, x: Fraction) -> Fraction:
         EvalError: if a denominator is exactly zero at ``x``.
     """
     try:
-        fn, _, reduced = expr._exact_code
+        fn, _, lowest = expr._exact_code
     except AttributeError:
-        fn, _, reduced = _compiled(expr, "_exact_code", _compile_exact)
+        fn, _, lowest = _compiled(expr, "_exact_code", _compile_exact)
     if type(x) is not Fraction:
         x = Fraction(x)
     num, den = fn(x.numerator, x.denominator)
-    return _coprime(num, den) if reduced else Fraction(num, den)
+    return _coprime(num, den) if lowest else reduced(num, den)
 
 
 def eval_float(expr: FunctionExpr, x: float) -> float:

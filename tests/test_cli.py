@@ -179,6 +179,25 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "unrecognized arguments: --bogus" in err
 
+    @pytest.mark.parametrize("function", ["-1/3+x", "-x/2+3x/2-1/3", "-(1/3-x)", "-min(1/3-x,1)"])
+    def test_function_starting_with_minus(self, function, tmp_path, capsys):
+        problem = ["--a", "-1", "--b", "1", "-e", "1/3"]
+        spaced, joined = tmp_path / "spaced.jsonl", tmp_path / "joined.jsonl"
+        code, _, err = run_cli(["run", "-f", function, *problem, "--out", spaced], capsys)
+        assert code == EXIT_OK, err
+        code, _, err = run_cli(["run", f"-f={function}", *problem, "--out", joined], capsys)
+        assert code == EXIT_OK, err
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_unknown_short_option_after_a_function_starting_with_minus(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["run", "-f", "-1/3+x", "--a", "-1", "--b", "1", "-e", "1/3",
+             "-z", "--out", tmp_path / "x.jsonl"],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: -z" in err
+
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
 

@@ -21,6 +21,7 @@ from interpbisect import (
     WeightMode,
     cauchy_bound,
     classical_weight,
+    format_rational,
     interpolation_weight,
     midpoint,
     parse,
@@ -55,6 +56,16 @@ class TestMidpoint:
             IterationState(1, F(1), F(1))
         with pytest.raises(ValueError):
             IterationState(1, F(2), F(1))
+
+    def test_degenerate_interval_message(self):
+        with pytest.raises(ValueError) as err:
+            IterationState(3, F(2), F(1, 2))
+        assert str(err.value) == "degenerate interval at step 3: [2, 1/2]"
+        big = F(10**5000 + 1, 3)
+        with pytest.raises(ValueError) as err:
+            IterationState(3, big, big)
+        text = format_rational(big)
+        assert str(err.value) == f"degenerate interval at step 3: [{text}, {text}]"
 
 
 class TestWeights:
@@ -167,6 +178,49 @@ class TestStep:
         assert m1 - m2 == (d2 - d1) * width / 2**n
 
 
+class TestExactPairFormulas:
+    """Exact midpoint, weight and step equal the Fraction-operator formulas
+    on operands like a deep run's: hundreds of factors of two."""
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=-(1 << 400), max_value=1 << 400),
+        st.integers(min_value=0, max_value=1 << 40).map(lambda v: 2 * v + 1),
+        st.integers(min_value=0, max_value=400),
+        st.fractions(min_value=F(1, 10), max_value=6, max_denominator=60),
+        st.integers(min_value=1, max_value=1 << 300).flatmap(
+            lambda den: st.tuples(st.integers(min_value=0, max_value=den), st.just(den))
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_midpoint_and_step(self, n, num, odd, k, width, d_terms):
+        a_n = F(num, odd << k)
+        state = IterationState(n, a_n, a_n + width / 2 ** (n - 1))
+        d = F(*d_terms)
+        c = (state.a_n + state.b_n) / 2
+        shift = d * width / 2**n
+        got_c = midpoint(state)
+        nxt = step(state, d, width)
+        for got, want in ((got_c, c), (nxt.a_n, c - shift), (nxt.b_n, state.b_n - shift)):
+            assert type(got) is F
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert nxt.n == n + 1
+
+    @given(
+        st.integers(min_value=-(1 << 400), max_value=1 << 400),
+        st.integers(min_value=0, max_value=1 << 40).map(lambda v: 2 * v + 1),
+        st.integers(min_value=0, max_value=400),
+        st.fractions(min_value=F(1, 100), max_value=5, max_denominator=100),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_interpolation_weight(self, num, odd, k, eps):
+        f_c = F(num, odd << k) / (1 << 390)
+        want = max(F(0), min(F(1, 2) + f_c / eps, F(1)))
+        got = interpolation_weight(f_c, eps)
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
 class TestCauchyBound:
     def test_examples(self):
         assert cauchy_bound(1, F(2)) == F(2)
@@ -240,6 +294,14 @@ class TestRun:
         # zero at an endpoint violates the strict inequality
         with pytest.raises(SignPreconditionViolated):
             run(ProblemConfig(a=F(0), b=F(1), epsilon=F(1, 3)), parse("x"))
+
+    def test_sign_precondition_message(self):
+        with pytest.raises(SignPreconditionViolated) as err:
+            run(ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3)), parse("x/3+10"))
+        assert str(err.value) == "need f(a) < 0 < f(b), got f(a) = 29/3 and f(b) = 31/3"
+        big = F(10**5000 + 1, 3)
+        err = SignPreconditionViolated(big, F(-1))
+        assert str(err) == f"need f(a) < 0 < f(b), got f(a) = {format_rational(big)} and f(b) = -1"
 
     def test_classical_run_matches_sign_rule(self):
         f = parse("x")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interpbisect import funcdsl
+from interpbisect import numerics
 from interpbisect import (
     Abs,
     Add,
@@ -25,6 +25,7 @@ from interpbisect import (
     Var,
     eval_exact,
     eval_float,
+    format_rational,
     parse,
     to_text,
 )
@@ -160,6 +161,18 @@ class TestEvalExact:
         assert err.value.x == F(1)
         assert err.value.path[-1] == "Div"
         assert eval_exact(expr, F(2)) == F(1)
+
+    def test_division_by_zero_message(self):
+        with pytest.raises(EvalError) as err:
+            eval_exact(parse("1/(3x-1)"), F(1, 3))
+        assert str(err.value) == "division by zero at x = 1/3 in node Div"
+
+    def test_division_by_zero_at_a_point_past_the_digit_limit(self):
+        x = F(10**5000 + 1, 3)
+        with pytest.raises(EvalError) as err:
+            eval_exact(parse("1/(x-x)"), x)
+        assert err.value.x == x
+        assert str(err.value) == f"division by zero at x = {format_rational(x)} in node Div"
 
     def test_abs_and_pow(self):
         assert eval_exact(parse("abs(x^3)"), F(-2)) == F(8)
@@ -443,10 +456,10 @@ class TestCompiledEvaluators:
 
 
 class TestReducedFractionHelper:
-    """``_coprime_maker`` picks one of three ways to build a reduced Fraction."""
+    """``numerics._coprime_maker`` picks one of three ways to build a reduced Fraction."""
 
     def test_this_interpreter(self):
-        make = funcdsl._coprime_maker()
+        make = numerics._coprime_maker()
         q = make(6, 35)
         assert type(q) is Fraction and (q.numerator, q.denominator) == (6, 35)
         assert q == Fraction(6, 35)
@@ -457,7 +470,7 @@ class TestReducedFractionHelper:
             def _from_coprime_ints(cls, num, den):
                 return ("coprime", num, den)
 
-        assert funcdsl._coprime_maker(Modern)(3, 4) == ("coprime", 3, 4)
+        assert numerics._coprime_maker(Modern)(3, 4) == ("coprime", 3, 4)
 
     def test_normalize_keyword_is_used_when_accepted(self):
         calls = []
@@ -466,7 +479,7 @@ class TestReducedFractionHelper:
             def __init__(self, num, den, _normalize=True):
                 calls.append((num, den, _normalize))
 
-        funcdsl._coprime_maker(Legacy)(3, 4)
+        numerics._coprime_maker(Legacy)(3, 4)
         assert calls[-1] == (3, 4, False)
 
     def test_falls_back_to_the_normalizing_constructor(self):
@@ -474,6 +487,6 @@ class TestReducedFractionHelper:
             def __init__(self, num, den):
                 self.args = (num, den)
 
-        make = funcdsl._coprime_maker(Plain)
+        make = numerics._coprime_maker(Plain)
         assert make is Plain
         assert make(4, 6).args == (4, 6)

@@ -1,6 +1,8 @@
 """Scalar layer: normalization, clamping, backends, text forms."""
 
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from interpbisect import (
     parse_rational,
     rat_normalize,
 )
+from interpbisect.numerics import reduced, scalar_text
 
 
 # CPython's cap on int <-> decimal text conversion (4,300 digits by
@@ -194,3 +197,133 @@ class TestBackends:
             EXACT.from_json(0.5)
         with pytest.raises(ValueError):
             FLOAT64.from_json("1/2")
+
+
+def _bits(max_bits):
+    """Non-negative integers of up to ``max_bits`` bits, spread over all sizes."""
+    return st.integers(0, max_bits).flatmap(lambda b: st.integers(0, (1 << b) - 1))
+
+
+def _odd(max_bits):
+    return _bits(max_bits).map(lambda v: 2 * v + 1)
+
+
+# Powers of two in a denominator on both sides of reduced()'s 64-bit cut-over.
+TWOS = st.sampled_from([0, 1, 63, 64, 65, 1000])
+SHARED_TWOS = st.one_of(
+    st.sampled_from([0, 1, 62, 63, 64, 65, 66, 999, 1000, 1001]), st.integers(0, 1100)
+)
+
+
+def _same_terms(q, expected):
+    assert type(q) is Fraction
+    assert (q.numerator, q.denominator) == (expected.numerator, expected.denominator)
+
+
+class TestReduced:
+    """``reduced(n, d)`` is ``Fraction(n, d)``, term for term."""
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            (0, 1 << 100),
+            (3 * 5 << 70, 9 << 100),
+            (-(3 * 5 << 70), 9 << 100),
+            (7 << 100, 21 << 65),
+            (1, 1 << 1000),
+            (-6, 4),
+            (5 << 64, 15 << 64),
+        ],
+        ids=[
+            "zero",
+            "shared-odd-factor",
+            "negative",
+            "more-twos-in-numerator",
+            "power-of-two",
+            "small",
+            "at-the-cut-over",
+        ],
+    )
+    def test_examples(self, num, den):
+        _same_terms(reduced(num, den), Fraction(num, den))
+
+    @given(
+        st.sampled_from([-1, 0, 1]),
+        _bits(5000),
+        _odd(1500),
+        SHARED_TWOS,
+        _odd(1500),
+        TWOS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction(self, sign, m, shared, j, odd, k):
+        # num = +-m 2^j s and den = o s 2^k share s and min(j + v2(m), k) twos.
+        num = sign * (m << j) * shared
+        den = (odd * shared) << k
+        _same_terms(reduced(num, den), Fraction(num, den))
+
+
+def _general_parse(text):
+    """parse_rational without its ``num/den`` fast path."""
+    try:
+        try:
+            return Fraction(text.strip())
+        except ValueError:
+            match = re.fullmatch(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", text)
+            if match is None:
+                raise
+            return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+def _assert_parses_like_general_path(text):
+    try:
+        expected = _general_parse(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_rational(text)
+        assert str(got.value) == str(exc)
+    else:
+        _same_terms(parse_rational(text), expected)
+
+
+class TestParseFastPath:
+    """``num/den`` text takes a fast path; every text parses as before."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2/4", "-0/5", "-12/8", "1/0", "3/00", "-/3", "-6/-3", " 1/2", "+1/2",
+            "1_0/4", "\u0663/4", "4/\u0663", "0.25", "7", "-7", "1/2/3", "/2", "2/",
+            f"{15 << 70}/{9 << 100}",
+            f"-{15 << 70}/{9 << 100}",
+            "1" * (TEXT_DIGIT_LIMIT + 1) + "/3",
+            "3/" + "1" * (TEXT_DIGIT_LIMIT + 1),
+        ],
+        ids=lambda text: text if len(text) <= 24 else f"{text[:10]}..{text[-10:]}",
+    )
+    def test_examples(self, text):
+        _assert_parses_like_general_path(text)
+
+    @given(st.text(alphabet="0123456789-+/_. \u0663", max_size=12))
+    @settings(max_examples=500)
+    def test_short_texts(self, text):
+        _assert_parses_like_general_path(text)
+
+    @given(st.integers(-(1 << 7000), 1 << 7000), _odd(1500), TWOS, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_ratios(self, num, odd, k, lead_zero):
+        text = f"{num}/{'0' if lead_zero else ''}{odd << k}"
+        _assert_parses_like_general_path(text)
+
+
+class TestScalarText:
+    def test_small_values_read_as_str(self):
+        assert scalar_text(Fraction(-1, 3)) == "-1/3"
+        assert scalar_text(Fraction(4)) == "4"
+        assert scalar_text(0.25) == "0.25"
+
+    def test_past_the_digit_limit(self):
+        q = Fraction(10 ** (TEXT_DIGIT_LIMIT + 10) + 1, 3)
+        assert scalar_text(q) == format_rational(q)
