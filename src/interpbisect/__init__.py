@@ -1,146 +1,19 @@
 """Interval halving with a continuously selected pivot.
 
-The package provides the iteration itself (:mod:`interpbisect.core`),
-exact-rational and float scalar backends (:mod:`interpbisect.numerics`),
-a small expression language for the functions being bracketed
-(:mod:`interpbisect.funcdsl`), mechanical trace verification
-(:mod:`interpbisect.verifier`), and a command line front end with SVG
-plotting (:mod:`interpbisect.cli`).
+The package provides the iteration and its exact-rational and float
+backends (:mod:`interpbisect.core`), rational helpers
+(:mod:`interpbisect.numerics`), a small expression language for the
+functions being bracketed (:mod:`interpbisect.funcdsl`), mechanical
+trace verification (:mod:`interpbisect.verifier`), and a command line
+front end with SVG plotting (:mod:`interpbisect.cli`).
 """
 
-from .numerics import (
-    EXACT,
-    FLOAT64,
-    BackendKind,
-    Rational,
-    Scalar,
-    ScalarBackend,
-    backend_from_name,
-    clamp_unit,
-    format_rational,
-    parse_rational,
-    rat_normalize,
-)
-from .funcdsl import (
-    Abs,
-    Add,
-    Div,
-    EvalError,
-    FunctionExpr,
-    Max,
-    Min,
-    Mul,
-    Neg,
-    ParseError,
-    Pow,
-    RationalConst,
-    Sub,
-    Var,
-    eval_exact,
-    eval_float,
-    parse,
-    to_text,
-)
-from .core import (
-    InvalidTolerance,
-    InvalidWeight,
-    IterationState,
-    ProblemConfig,
-    SignPreconditionViolated,
-    StepRecord,
-    Trace,
-    TraceFormatError,
-    WeightMode,
-    cauchy_bound,
-    classical_weight,
-    interpolation_weight,
-    midpoint,
-    run,
-    step,
-    trace_from_jsonl,
-    trace_to_jsonl,
-)
-from .verifier import (
-    BackendNotExact,
-    ClaimOutcome,
-    ContinuityBudget,
-    SignsStraddle,
-    Violation,
-    WitnessCertificate,
-    WitnessFound,
-    WitnessKind,
-    check_claim,
-    continuity_budget_check,
-    extract_witness,
-    grid_oracle,
-    report_to_json,
-)
+from . import core, funcdsl, numerics, verifier
+from .numerics import *
+from .funcdsl import *
+from .core import *
+from .verifier import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # numerics
-    "EXACT",
-    "FLOAT64",
-    "BackendKind",
-    "Rational",
-    "Scalar",
-    "ScalarBackend",
-    "backend_from_name",
-    "clamp_unit",
-    "format_rational",
-    "parse_rational",
-    "rat_normalize",
-    # funcdsl
-    "Abs",
-    "Add",
-    "Div",
-    "EvalError",
-    "FunctionExpr",
-    "Max",
-    "Min",
-    "Mul",
-    "Neg",
-    "ParseError",
-    "Pow",
-    "RationalConst",
-    "Sub",
-    "Var",
-    "eval_exact",
-    "eval_float",
-    "parse",
-    "to_text",
-    # core
-    "InvalidTolerance",
-    "InvalidWeight",
-    "IterationState",
-    "ProblemConfig",
-    "SignPreconditionViolated",
-    "StepRecord",
-    "Trace",
-    "TraceFormatError",
-    "WeightMode",
-    "cauchy_bound",
-    "classical_weight",
-    "interpolation_weight",
-    "midpoint",
-    "run",
-    "step",
-    "trace_from_jsonl",
-    "trace_to_jsonl",
-    # verifier
-    "BackendNotExact",
-    "ClaimOutcome",
-    "ContinuityBudget",
-    "SignsStraddle",
-    "Violation",
-    "WitnessCertificate",
-    "WitnessFound",
-    "WitnessKind",
-    "check_claim",
-    "continuity_budget_check",
-    "extract_witness",
-    "grid_oracle",
-    "report_to_json",
-]
+__all__ = ["__version__", *numerics.__all__, *funcdsl.__all__, *core.__all__, *verifier.__all__]

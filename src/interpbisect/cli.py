@@ -20,6 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .core import (
+    BACKENDS,
+    EXACT,
     ProblemConfig,
     SignPreconditionViolated,
     Trace,
@@ -29,8 +31,8 @@ from .core import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .funcdsl import EvalError, FunctionExpr, ParseError, eval_exact, eval_float, parse, to_text
-from .numerics import backend_from_name, parse_rational
+from .funcdsl import EvalError, FunctionExpr, ParseError, eval_float, parse, to_text
+from .numerics import parse_rational
 from .verifier import (
     BackendNotExact,
     Violation,
@@ -138,10 +140,7 @@ def render_trace_svg(spec: PlotSpec) -> str:
 
     dots = [(rec.n, rec.c_n, rec.f_c_n) for rec in trace.steps]
     limit = trace.limit_estimate
-    if backend.is_exact:
-        f_limit = eval_exact(f, limit)
-    else:
-        f_limit = eval_float(f, limit)
+    f_limit = backend.evaluate(f, limit)
     epsilon = trace.config.epsilon
 
     if spec.y_range is not None:
@@ -301,7 +300,7 @@ def _add_problem_flags(sub: argparse.ArgumentParser, with_mode: bool) -> None:
     sub.add_argument("--max-steps", type=_positive_int_flag, default=40, help="number of steps (default 40)")
     sub.add_argument(
         "--backend",
-        choices=["exact", "float"],
+        choices=list(BACKENDS),
         default="exact",
         help="scalar arithmetic (default exact)",
     )
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommands
 
 def _make_config(args: argparse.Namespace, mode: WeightMode, stop_early: bool) -> ProblemConfig:
-    backend = backend_from_name(args.backend)
+    backend = BACKENDS[args.backend]
     return ProblemConfig(
         a=backend.convert(args.a),
         b=backend.convert(args.b),
@@ -422,10 +421,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if trace.stopped_early_at is not None:
         print(f"stopped early at step {trace.stopped_early_at}")
     estimate = trace.limit_estimate
-    approx = f" ({float(estimate):.9f})" if backend.is_exact else ""
+    approx = f" ({float(estimate):.9f})" if backend is EXACT else ""
     print(f"limit estimate: {backend.format(estimate)}{approx}")
     print(f"limit error bound: {backend.format(trace.limit_error_bound)}")
-    if backend.is_exact:
+    if backend is EXACT:
         cert = extract_witness(trace, f)
         if cert.kind.value == "midpoint":
             print(

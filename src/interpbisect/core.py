@@ -4,7 +4,7 @@ Classical bisection keeps the half interval whose endpoints straddle the
 root, a decision that is discontinuous in the function values.  Here the
 kept interval is chosen by a weight
 
-    d_n = clamp_unit(1/2 + f(c_n) / epsilon)
+    d_n = max(0, min(1/2 + f(c_n) / epsilon, 1))
 
 and the next interval is the width-halved window
 
@@ -23,6 +23,13 @@ verifier checks mechanically on exact traces.  The weight map is
 the function values; with the classical 0/1 weight (``d_n = 0`` iff
 ``f(c_n) < 0``) the recurrence reproduces textbook bisection exactly.
 
+The recurrence runs in one of two backends, :data:`EXACT` (rationals,
+no rounding anywhere) and :data:`FLOAT64` (IEEE binary64).  Each owns
+its scalar type, its evaluator, its trace text, and the midpoint, weight
+and window update of one step.  :func:`run` takes the backend its config
+names; :func:`midpoint`, the weight functions and :func:`step` compute
+in floats when any operand is a float, else exactly.
+
 Runs record every step into a :class:`Trace`, which serializes to JSONL:
 one config line, one line per step, one final line.  Exact scalars are
 ``num/den`` strings, float scalars are JSON numbers.
@@ -34,20 +41,16 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .funcdsl import FunctionExpr, eval_exact, eval_float
-from .numerics import (
-    EXACT,
-    Scalar,
-    ScalarBackend,
-    backend_from_name,
-    clamp_unit,
-    reduced,
-    scalar_text,
-)
+from .numerics import format_rational, parse_rational, reduced, scalar_text
 
 __all__ = [
+    "Scalar",
+    "EXACT",
+    "FLOAT64",
+    "BACKENDS",
     "WeightMode",
     "ProblemConfig",
     "IterationState",
@@ -66,6 +69,11 @@ __all__ = [
     "trace_to_jsonl",
     "trace_from_jsonl",
 ]
+
+Scalar = Union[Fraction, float]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class InvalidTolerance(ValueError):
@@ -97,6 +105,159 @@ class WeightMode(Enum):
     CLASSICAL = "classical"
 
 
+# ---------------------------------------------------------------------------
+# Backends
+
+class ExactBackend:
+    """Rationals (``fractions.Fraction``; ints work too), with no rounding.
+
+    Every comparison is decidable and every identity holds with equality.
+    The step arithmetic works on integer (num, den) pairs and reduces each
+    stored value once with :func:`~interpbisect.numerics.reduced`;
+    Fraction operators would run a full gcd per operation over the
+    thousands of bits the windows grow to.
+    """
+
+    name = "exact"
+    scalar = Fraction
+    evaluate = staticmethod(eval_exact)
+
+    def __reduce__(self) -> str:
+        # Pickles and copies resolve to the one instance, so callers can
+        # test ``backend is EXACT``.
+        return "EXACT"
+
+    def convert(self, value: Union[int, str, Fraction, float]) -> Fraction:
+        """Coerce ``value`` into a Fraction.
+
+        Binary floats are refused outright: a float has no canonical
+        decimal intent, and silently admitting one would contaminate
+        exact traces.  Parse text instead.
+        """
+        if isinstance(value, float):
+            raise TypeError(
+                "refusing to convert a binary float into the exact "
+                "backend; pass an int, Fraction, or numeric text"
+            )
+        if isinstance(value, str):
+            return parse_rational(value)
+        return Fraction(value)
+
+    def format(self, value: Fraction) -> str:
+        """``num/den`` text, the denominator always present."""
+        return format_rational(value)
+
+    # The trace format stores exact values as ``num/den`` strings.
+    to_json = format
+
+    def from_json(self, value: Union[str, int, float]) -> Fraction:
+        """Inverse of :meth:`to_json`."""
+        if not isinstance(value, str):
+            raise ValueError(
+                f"exact trace values must be 'num/den' strings, got {value!r}"
+            )
+        return parse_rational(value)
+
+    def midpoint(self, a: Fraction, b: Fraction) -> Fraction:
+        return reduced(
+            a.numerator * b.denominator + b.numerator * a.denominator,
+            2 * a.denominator * b.denominator,
+        )
+
+    def interpolation_weight(self, f_c: Fraction, epsilon: Fraction) -> Fraction:
+        """The interpolated weight; the caller guarantees ``epsilon > 0``."""
+        # 1/2 + f/e = (h + 2 f_num e_den) / 2h with h = f_den e_num > 0.
+        h = f_c.denominator * epsilon.numerator
+        num = h + 2 * f_c.numerator * epsilon.denominator
+        if num <= 0:
+            return _ZERO
+        if num >= 2 * h:
+            return _ONE
+        return reduced(num, 2 * h)
+
+    def classical_weight(self, f_c: Fraction) -> Fraction:
+        return _ZERO if f_c < 0 else _ONE
+
+    def advance(self, state: IterationState, c: Fraction, d: Fraction, width: Fraction) -> IterationState:
+        """The next window, given the midpoint ``c`` of ``state`` and a valid weight."""
+        b = state.b_n
+        if not d:
+            return IterationState(state.n + 1, c, b)
+        # shift = sn / sd, unreduced; each endpoint is reduced once.
+        sn = d.numerator * width.numerator
+        sd = (d.denominator * width.denominator) << state.n
+        cd, bd = c.denominator, b.denominator
+        return IterationState(
+            state.n + 1,
+            reduced(c.numerator * sd - sn * cd, cd * sd),
+            reduced(b.numerator * sd - sn * bd, bd * sd),
+        )
+
+
+class FloatBackend:
+    """IEEE binary64: the same recurrence with every operation rounded.
+
+    It makes no correctness claim beyond "same algorithm, rounded":
+    comparisons against the tolerance use the raw rounded values.
+    """
+
+    name = "float"
+    scalar = float
+    evaluate = staticmethod(eval_float)
+
+    def __reduce__(self) -> str:
+        return "FLOAT64"
+
+    def convert(self, value: Union[int, str, Fraction, float]) -> float:
+        """Coerce ``value`` into a float; text is read as an exact rational first."""
+        if isinstance(value, str):
+            return float(parse_rational(value))
+        return float(value)
+
+    def format(self, value: float) -> str:
+        """Shortest round-trip decimal text."""
+        return repr(float(value))
+
+    def to_json(self, value: float) -> float:
+        return float(value)
+
+    def from_json(self, value: Union[str, int, float]) -> float:
+        """Inverse of :meth:`to_json`."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"float trace values must be numbers, got {value!r}")
+        return float(value)
+
+    def midpoint(self, a: float, b: float) -> float:
+        return (a + b) / 2
+
+    def interpolation_weight(self, f_c: float, epsilon: float) -> float:
+        """The interpolated weight; the caller guarantees ``epsilon > 0``."""
+        return max(0.0, min(0.5 + f_c / epsilon, 1.0))
+
+    def classical_weight(self, f_c: float) -> float:
+        return 0.0 if f_c < 0 else 1.0
+
+    def advance(self, state: IterationState, c: float, d: float, width: float) -> IterationState:
+        """The next window, given the midpoint ``c`` of ``state`` and a valid weight."""
+        shift = d * width / 2**state.n
+        return IterationState(state.n + 1, c - shift, state.b_n - shift)
+
+
+EXACT = ExactBackend()
+FLOAT64 = FloatBackend()
+
+# Backends by the name the CLI and the trace format use.
+BACKENDS = {backend.name: backend for backend in (EXACT, FLOAT64)}
+
+
+def _backend_of(*values: Scalar) -> ExactBackend | FloatBackend:
+    """FLOAT64 if any of ``values`` is a float, else EXACT.
+
+    Mixed operands compute in floats, as Python's own operators do.
+    """
+    return FLOAT64 if any(isinstance(v, float) for v in values) else EXACT
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """One root-bracketing problem: interval, tolerance, and run policy.
@@ -112,21 +273,27 @@ class ProblemConfig:
     epsilon: Scalar
     max_steps: int = 40
     weight_mode: WeightMode = WeightMode.INTERPOLATED
-    backend: ScalarBackend = EXACT
+    backend: ExactBackend | FloatBackend = EXACT
     stop_early: bool = False
 
     def __post_init__(self) -> None:
-        expected = Fraction if self.backend.is_exact else float
+        expected = self.backend.scalar
         for field in ("a", "b", "epsilon"):
-            if not isinstance(getattr(self, field), expected):
+            value = getattr(self, field)
+            if not isinstance(value, expected):
                 raise TypeError(
                     f"{field} must be {expected.__name__} under the "
-                    f"{self.backend.name} backend, got {getattr(self, field)!r}"
+                    f"{self.backend.name} backend, got "
+                    f"{type(value).__name__} {scalar_text(value)}"
                 )
         if not self.a < self.b:
-            raise ValueError(f"need a < b, got a = {self.a}, b = {self.b}")
+            raise ValueError(
+                f"need a < b, got a = {scalar_text(self.a)}, b = {scalar_text(self.b)}"
+            )
         if not self.epsilon > 0:
-            raise InvalidTolerance(f"epsilon must be positive, got {self.epsilon}")
+            raise InvalidTolerance(
+                f"epsilon must be positive, got {scalar_text(self.epsilon)}"
+            )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
@@ -188,23 +355,13 @@ class Trace:
             raise ValueError("a trace records at least one step")
 
 
-# The exact branches below work on integer (num, den) pairs and reduce each
-# stored value once with numerics.reduced; Fraction operators would run a
-# full gcd per operation over the thousands of bits the windows grow to.
-
 def midpoint(state: IterationState) -> Scalar:
     """Midpoint of the current interval."""
-    a, b = state.a_n, state.b_n
-    if type(a) is Fraction is type(b):
-        return reduced(
-            a.numerator * b.denominator + b.numerator * a.denominator,
-            2 * a.denominator * b.denominator,
-        )
-    return (a + b) / 2
+    return _backend_of(state.a_n, state.b_n).midpoint(state.a_n, state.b_n)
 
 
 def interpolation_weight(f_c: Scalar, epsilon: Scalar) -> Scalar:
-    """``clamp_unit(1/2 + f_c / epsilon)``.
+    """``max(0, min(1/2 + f_c / epsilon, 1))``.
 
     Saturates to exactly 1 once f_c >= epsilon/2 and to exactly 0 once
     f_c <= -epsilon/2; both saturation points are exact in the float
@@ -215,25 +372,13 @@ def interpolation_weight(f_c: Scalar, epsilon: Scalar) -> Scalar:
         InvalidTolerance: if ``epsilon <= 0``.
     """
     if not epsilon > 0:
-        raise InvalidTolerance(f"epsilon must be positive, got {epsilon}")
-    if isinstance(f_c, float):
-        return clamp_unit(0.5 + f_c / epsilon)
-    f_c, epsilon = Fraction(f_c), Fraction(epsilon)
-    # 1/2 + f/e = (h + 2 f_num e_den) / 2h with h = f_den e_num > 0.
-    h = f_c.denominator * epsilon.numerator
-    num = h + 2 * f_c.numerator * epsilon.denominator
-    if num <= 0:
-        return Fraction(0)
-    if num >= 2 * h:
-        return Fraction(1)
-    return reduced(num, 2 * h)
+        raise InvalidTolerance(f"epsilon must be positive, got {scalar_text(epsilon)}")
+    return _backend_of(f_c, epsilon).interpolation_weight(f_c, epsilon)
 
 
 def classical_weight(f_c: Scalar) -> Scalar:
     """Textbook sign rule as a weight: 0 if f_c < 0, else 1."""
-    if isinstance(f_c, float):
-        return 0.0 if f_c < 0 else 1.0
-    return Fraction(0) if f_c < 0 else Fraction(1)
+    return _backend_of(f_c).classical_weight(f_c)
 
 
 def step(state: IterationState, d: Scalar, original_width: Scalar) -> IterationState:
@@ -248,26 +393,8 @@ def step(state: IterationState, d: Scalar, original_width: Scalar) -> IterationS
     """
     if not (0 <= d <= 1):
         raise InvalidWeight(f"weight must lie in [0, 1], got {scalar_text(d)}")
-    return _advance(state, midpoint(state), d, original_width)
-
-
-def _advance(state: IterationState, c: Scalar, d: Scalar, width: Scalar) -> IterationState:
-    """:func:`step` given the midpoint ``c`` of ``state`` and a valid weight."""
-    b = state.b_n
-    if not (type(c) is type(b) is type(d) is type(width) is Fraction):
-        shift = d * width / 2**state.n
-        return IterationState(state.n + 1, c - shift, b - shift)
-    if not d:
-        return IterationState(state.n + 1, c, b)
-    # shift = sn / sd, unreduced; each endpoint is reduced once.
-    sn = d.numerator * width.numerator
-    sd = (d.denominator * width.denominator) << state.n
-    cd, bd = c.denominator, b.denominator
-    return IterationState(
-        state.n + 1,
-        reduced(c.numerator * sd - sn * cd, cd * sd),
-        reduced(b.numerator * sd - sn * bd, bd * sd),
-    )
+    backend = _backend_of(state.a_n, state.b_n, d, original_width)
+    return backend.advance(state, backend.midpoint(state.a_n, state.b_n), d, original_width)
 
 
 def cauchy_bound(m: int, original_width: Scalar) -> Scalar:
@@ -287,16 +414,16 @@ def cauchy_bound(m: int, original_width: Scalar) -> Scalar:
 def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
     """Run the iteration, checking the sign precondition first.
 
-    Evaluates f with the backend the config names, so an exact run is
-    rounding-free end to end.
+    Computes in the backend the config names, evaluation included, so an
+    exact run is rounding-free end to end.
 
     Raises:
         SignPreconditionViolated: unless f(a) < 0 < f(b) in backend
             arithmetic.
         EvalError: if f divides by zero at a visited point.
     """
-    evaluate: Callable[[FunctionExpr, Scalar], Scalar]
-    evaluate = eval_exact if config.backend.is_exact else eval_float
+    backend = config.backend
+    evaluate = backend.evaluate
     f_a = evaluate(f, config.a)
     f_b = evaluate(f, config.b)
     if not (f_a < 0 and f_b > 0):
@@ -307,18 +434,18 @@ def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
     records = []
     stopped_at: Optional[int] = None
     for n in range(1, config.max_steps + 1):
-        c = midpoint(state)
+        c = backend.midpoint(state.a_n, state.b_n)
         f_c = evaluate(f, c)
         if config.weight_mode is WeightMode.INTERPOLATED:
-            d = interpolation_weight(f_c, config.epsilon)
+            d = backend.interpolation_weight(f_c, config.epsilon)
         else:
-            d = classical_weight(f_c)
+            d = backend.classical_weight(f_c)
         records.append(StepRecord(n, state.a_n, state.b_n, c, f_c, d))
         if config.stop_early and abs(f_c) < config.epsilon:
             stopped_at = n
             break
         if n < config.max_steps:
-            state = _advance(state, c, d, width)
+            state = backend.advance(state, c, d, width)
 
     last = records[-1]
     return Trace(
@@ -410,8 +537,13 @@ def trace_from_jsonl(text: str) -> Trace:
         )
 
     head = _parse_line(lines[0], "the config", 1)
+    name = _take(head, "backend", 1)
+    backend = BACKENDS.get(name) if isinstance(name, str) else None
+    if backend is None:
+        raise TraceFormatError(
+            f"line 1: unknown backend {name!r} (expected 'exact' or 'float')"
+        )
     try:
-        backend = backend_from_name(_take(head, "backend", 1))
         mode = WeightMode(_take(head, "mode", 1))
     except ValueError as exc:
         raise TraceFormatError(f"line 1: {exc}") from exc

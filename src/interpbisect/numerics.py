@@ -1,12 +1,9 @@
-"""Exact-rational and floating-point scalars behind one small contract.
+"""Rational helpers shared by the exact backend, the evaluator and traces.
 
-The bisection core is written once against ordinary arithmetic plus the
-few helpers here.  The exact backend computes with arbitrary-precision
-rationals (``fractions.Fraction``), so interval identities can be checked
-with equality instead of tolerances; denominators are allowed to grow as
-the recurrence demands.  The float backend runs the same algorithm in
-IEEE binary64 and makes no correctness claim beyond "same algorithm,
-rounded": comparisons against the tolerance use the raw rounded values.
+Exact scalars are ``fractions.Fraction``: arbitrary-precision integers,
+always in lowest terms with a positive denominator.  The two backends
+that run the iteration live in :mod:`interpbisect.core`; this module
+holds what they, the evaluator and the trace format need of rationals.
 
 The iteration halves its window at every step, so an exact run's
 denominators are a power of two times a small odd cofactor: thousands of
@@ -14,60 +11,27 @@ bits, nearly all of them twos.  :func:`reduced` therefore brings a
 ``num/den`` pair to lowest terms by shifting out the common power of two
 and taking the gcd of what is left, instead of a full gcd over every
 bit.  The hot normalizations go through it: trace decoding, the
-evaluator's results, and the weight and window updates in ``core``.
+evaluator's results, and the exact backend's weight and window updates.
 
 Text forms are fixed because they appear verbatim in the JSONL trace
 format: rationals render as ``num/den`` (always with the denominator,
-e.g. ``-13/14``, ``0/1``) and floats as their shortest round-trip
-decimal.
+e.g. ``-13/14``, ``0/1``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Union
 
 __all__ = [
-    "Rational",
-    "Scalar",
-    "BackendKind",
-    "ScalarBackend",
-    "EXACT",
-    "FLOAT64",
-    "backend_from_name",
-    "rat_normalize",
     "reduced",
-    "clamp_unit",
     "format_rational",
     "scalar_text",
     "parse_rational",
 ]
-
-# Exact scalars are plain stdlib Fractions: arbitrary-precision integers,
-# always stored in lowest terms with a positive denominator.
-Rational = Fraction
-
-Scalar = Union[Fraction, float]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def rat_normalize(num: int, den: int) -> Fraction:
-    """Lowest-terms rational with positive denominator.
-
-    Equality of rationals is equality of these representatives:
-    ``rat_normalize(2, 4) == rat_normalize(1, 2)``.
-
-    Raises:
-        ZeroDivisionError: if ``den`` is zero.
-    """
-    return Fraction(num, den)
 
 
 def _coprime_maker(cls=Fraction):
@@ -121,16 +85,6 @@ def reduced(num: int, den: int) -> Fraction:
     return _coprime(num, den)
 
 
-def clamp_unit(x: Scalar) -> Scalar:
-    """``max(0, min(x, 1))``, preserving the scalar type of ``x``.
-
-    Monotone, 1-Lipschitz, and the identity on [0, 1].
-    """
-    if isinstance(x, float):
-        return max(0.0, min(x, 1.0))
-    return max(_ZERO, min(Fraction(x), _ONE))
-
-
 def format_rational(q: Fraction) -> str:
     """Render ``q`` as ``num/den``, denominator always present."""
     try:
@@ -141,7 +95,7 @@ def format_rational(q: Fraction) -> str:
         return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
-def scalar_text(value: Scalar) -> str:
+def scalar_text(value: Union[Fraction, float]) -> str:
     """``str(value)``, or ``format_rational(value)`` past the digit limit."""
     try:
         return str(value)
@@ -180,92 +134,3 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
-
-
-class BackendKind(Enum):
-    EXACT = "exact"
-    FLOAT = "float"
-
-
-@dataclass(frozen=True)
-class ScalarBackend:
-    """Selects the scalar arithmetic a run computes in.
-
-    The exact kind makes every comparison decidable with no rounding
-    anywhere.  The float kind rounds every operation to nearest; only
-    IEEE binary64 is supported (``precision_bits`` exists so the trace
-    format records it explicitly).
-    """
-
-    kind: BackendKind
-    precision_bits: int = 64
-
-    def __post_init__(self) -> None:
-        if self.kind is BackendKind.FLOAT and self.precision_bits != 64:
-            raise ValueError(
-                "float backend supports only 64-bit IEEE scalars, "
-                f"got {self.precision_bits} bits"
-            )
-
-    @property
-    def name(self) -> str:
-        return self.kind.value
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind is BackendKind.EXACT
-
-    def convert(self, value: Union[int, str, Fraction, float]) -> Scalar:
-        """Coerce ``value`` into this backend's scalar type.
-
-        The exact backend refuses binary floats outright: a float has no
-        canonical decimal intent, and silently admitting one would
-        contaminate exact traces.  Parse text instead.
-        """
-        if self.is_exact:
-            if isinstance(value, float):
-                raise TypeError(
-                    "refusing to convert a binary float into the exact "
-                    "backend; pass an int, Fraction, or numeric text"
-                )
-            if isinstance(value, str):
-                return parse_rational(value)
-            return Fraction(value)
-        if isinstance(value, str):
-            return float(parse_rational(value))
-        return float(value)
-
-    def format(self, value: Scalar) -> str:
-        """Text form of ``value``: ``num/den`` or shortest round-trip decimal."""
-        if self.is_exact:
-            return format_rational(Fraction(value))
-        return repr(float(value))
-
-    def to_json(self, value: Scalar) -> Union[str, float]:
-        """JSON value for the trace format: string for exact, number for float."""
-        if self.is_exact:
-            return format_rational(Fraction(value))
-        return float(value)
-
-    def from_json(self, value: Union[str, int, float]) -> Scalar:
-        """Inverse of :meth:`to_json`."""
-        if self.is_exact:
-            if not isinstance(value, str):
-                raise ValueError(
-                    f"exact trace values must be 'num/den' strings, got {value!r}"
-                )
-            return parse_rational(value)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"float trace values must be numbers, got {value!r}")
-        return float(value)
-
-
-EXACT = ScalarBackend(BackendKind.EXACT)
-FLOAT64 = ScalarBackend(BackendKind.FLOAT, 64)
-
-
-def backend_from_name(name: str) -> ScalarBackend:
-    for backend in (EXACT, FLOAT64):
-        if backend.name == name:
-            return backend
-    raise ValueError(f"unknown backend {name!r} (expected 'exact' or 'float')")

@@ -22,9 +22,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .core import Trace, cauchy_bound
+from .core import EXACT, Trace, cauchy_bound
 from .funcdsl import FunctionExpr, eval_exact
-from .numerics import format_rational
+from .numerics import format_rational, scalar_text
 
 __all__ = [
     "BackendNotExact",
@@ -126,7 +126,7 @@ class ContinuityBudget:
 
 
 def _require_exact(trace: Trace) -> None:
-    if not trace.config.backend.is_exact:
+    if trace.config.backend is not EXACT:
         raise BackendNotExact(
             "claim checking needs exact arithmetic; this trace was "
             f"computed under the {trace.config.backend.name} backend"
@@ -203,7 +203,7 @@ def continuity_budget_check(trace: Trace, delta: Fraction, m: int) -> Continuity
     _require_exact(trace)
     delta = Fraction(delta)
     if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+        raise ValueError(f"delta must be positive, got {scalar_text(delta)}")
     if not 1 <= m <= len(trace.steps):
         raise ValueError(
             f"m = {m} is not a recorded step (trace has {len(trace.steps)})"
@@ -237,9 +237,9 @@ def grid_oracle(
     """
     a, b, epsilon = Fraction(a), Fraction(b), Fraction(epsilon)
     if not a < b:
-        raise ValueError(f"need a < b, got a = {a}, b = {b}")
+        raise ValueError(f"need a < b, got a = {scalar_text(a)}, b = {scalar_text(b)}")
     if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise ValueError(f"epsilon must be positive, got {scalar_text(epsilon)}")
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     # x_k = a + k (b - a) / grid_n over one common denominator, so each

@@ -279,6 +279,16 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "trace:" in err
 
+    @pytest.mark.parametrize("name", ["double", ["exact"], None, 1])
+    def test_unknown_backend_is_usage_error(self, trace_path, capsys, name):
+        lines = trace_path.read_text().splitlines()
+        head = json.loads(lines[0])
+        head["backend"] = name
+        trace_path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+        code, _, err = run_cli(["verify", "-t", trace_path, "-f", SAMPLE_TEXT], capsys)
+        assert code == EXIT_USAGE
+        assert "trace: line 1: unknown backend " in err
+
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, _ = run_cli(["verify", "-t", tmp_path / "nope.jsonl", "-f", "x"], capsys)
         assert code == EXIT_USAGE

@@ -1,6 +1,9 @@
 """Iteration core: weights, steps, runs, trace serialization."""
 
+import copy
+import hashlib
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -48,6 +51,18 @@ class TestMidpoint:
 
     def test_float(self):
         assert midpoint(IterationState(1, 0.0, 1.0)) == 0.5
+
+    def test_operand_types_pick_the_backend(self):
+        # ints are exact rationals; any float operand makes the arithmetic float
+        state = IterationState(1, 0, 1)
+        assert type(midpoint(state)) is F and midpoint(state) == F(1, 2)
+        assert type(step(state, 1, 1).b_n) is F
+        mixed = IterationState(1, F(0), 1.0)
+        assert type(midpoint(mixed)) is float and midpoint(mixed) == 0.5
+        assert type(step(mixed, F(1, 2), 1.0).a_n) is float
+        assert type(interpolation_weight(F(1, 8), 0.5)) is float
+        assert interpolation_weight(F(1, 8), 0.5) == 0.75
+        assert type(classical_weight(-1)) is F
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -430,6 +445,22 @@ class TestTraceJsonl:
         with pytest.raises(TraceFormatError):
             trace_from_jsonl(bad)
 
+    @pytest.mark.parametrize("name", ["double", ["exact"], None, 1])
+    def test_unknown_backend_is_refused(self, sample, name):
+        trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=2), sample)
+        lines = trace_to_jsonl(trace).splitlines()
+        head = json.loads(lines[0])
+        head["backend"] = name
+        with pytest.raises(TraceFormatError, match=r"^line 1: unknown backend "):
+            trace_from_jsonl("\n".join([json.dumps(head)] + lines[1:]))
+
+    def test_pickled_and_copied_traces_keep_their_backend(self, sample):
+        trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=3), sample)
+        again = pickle.loads(pickle.dumps(trace))
+        assert again == trace and again.config.backend is EXACT
+        assert copy.deepcopy(trace).config.backend is EXACT
+        assert copy.copy(FLOAT64) is FLOAT64 and pickle.loads(pickle.dumps(FLOAT64)) is FLOAT64
+
     def test_trace_requires_steps(self):
         config = ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3))
         with pytest.raises(ValueError):
@@ -438,3 +469,38 @@ class TestTraceJsonl:
     def test_step_record_is_plain_data(self):
         rec = StepRecord(1, F(-1), F(1), F(0), F(1, 7), F(13, 14))
         assert rec.c_n == F(0)
+
+
+def _sha256(texts):
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+class TestPinnedTraceBytes:
+    """sha256 of the concatenated ``trace_to_jsonl`` output of fixed exact runs.
+
+    CHANGES.md records the same values; a change to the arithmetic or the
+    text form that moves one byte of an exact trace fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "steps,digest",
+        [
+            (40, "e6756820b4d27b2aa8cdcc4c7a280229a5219a5573e6c5dc9cd41cb429f4e5cc"),
+            (120, "449b377aeec9377766293b5ef1cf6bd7ff6b1b0b96e6d556770c93eeb4e4b364"),
+        ],
+    )
+    def test_sample(self, sample, steps, digest):
+        config = ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=steps)
+        assert _sha256([trace_to_jsonl(run(config, sample))]) == digest
+
+    def test_corpus(self, corpus_bundle):
+        # make_corpus(20260819, 100, steps=30) at epsilon 1/3, 30 steps; for
+        # each function the interpolated trace, then the classical one.
+        assert (len(corpus_bundle.functions), corpus_bundle.epsilon) == (100, F(1, 3))
+        texts = []
+        for interpolated, classical in zip(corpus_bundle.interpolated, corpus_bundle.classical):
+            assert len(interpolated.steps) == len(classical.steps) == 30
+            texts += [trace_to_jsonl(interpolated), trace_to_jsonl(classical)]
+        assert _sha256(texts) == (
+            "9706206d7e6c21bc30d23cbc7f521df16b6cca8246218ef31d6212ab888d8f0d"
+        )

@@ -1,4 +1,4 @@
-"""Scalar layer: normalization, clamping, backends, text forms."""
+"""Rational helpers, the weight's clamp, backends, text forms."""
 
 import re
 import sys
@@ -10,15 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interpbisect import (
+    BACKENDS,
     EXACT,
     FLOAT64,
-    BackendKind,
-    ScalarBackend,
-    backend_from_name,
-    clamp_unit,
     format_rational,
+    interpolation_weight,
     parse_rational,
-    rat_normalize,
 )
 from interpbisect.numerics import reduced, scalar_text
 
@@ -28,34 +25,16 @@ from interpbisect.numerics import reduced, scalar_text
 TEXT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 
 
-class TestRatNormalize:
-    def test_lowest_terms(self):
-        q = rat_normalize(2, 4)
-        assert (q.numerator, q.denominator) == (1, 2)
-
-    def test_sign_moves_to_numerator(self):
-        q = rat_normalize(3, -6)
-        assert (q.numerator, q.denominator) == (-1, 2)
-
-    def test_zero(self):
-        q = rat_normalize(0, 7)
-        assert (q.numerator, q.denominator) == (0, 1)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_normalize(1, 0)
-
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(lambda d: d != 0))
-    def test_canonical_representative(self, num, den):
-        q = rat_normalize(num, den)
-        assert q.denominator > 0
-        assert q == Fraction(num, den)
-        # already-normalized input is a fixed point
-        again = rat_normalize(q.numerator, q.denominator)
-        assert (again.numerator, again.denominator) == (q.numerator, q.denominator)
+def clamp_via_weight(x):
+    """The weight's clamp to [0, 1]: at epsilon = 1 the weight of x - 1/2 is
+    ``max(0, min(x, 1))``, in the scalar type of ``x``."""
+    half = 0.5 if isinstance(x, float) else Fraction(1, 2)
+    return interpolation_weight(x - half, 2 * half)
 
 
 class TestClampUnit:
+    """The clamp inside :func:`interpolation_weight`, on its own."""
+
     @pytest.mark.parametrize(
         "value,expected",
         [
@@ -67,19 +46,19 @@ class TestClampUnit:
         ],
     )
     def test_examples(self, value, expected):
-        assert clamp_unit(value) == expected
+        assert clamp_via_weight(value) == expected
 
     def test_float_type_preserved(self):
-        out = clamp_unit(0.75)
+        out = clamp_via_weight(0.75)
         assert isinstance(out, float) and out == 0.75
-        assert clamp_unit(2.5) == 1.0
-        assert clamp_unit(-0.5) == 0.0
+        assert clamp_via_weight(2.5) == 1.0
+        assert clamp_via_weight(-0.5) == 0.0
 
     def test_exhaustive_small_rationals(self):
         for den in range(1, 13):
             for num in range(-30, 31):
                 x = Fraction(num, den)
-                out = clamp_unit(x)
+                out = clamp_via_weight(x)
                 assert Fraction(0) <= out <= Fraction(1)
                 if 0 <= x <= 1:
                     assert out == x
@@ -90,7 +69,7 @@ class TestClampUnit:
     )
     @settings(max_examples=200)
     def test_monotone_and_one_lipschitz(self, x, y):
-        cx, cy = clamp_unit(x), clamp_unit(y)
+        cx, cy = clamp_via_weight(x), clamp_via_weight(y)
         if x <= y:
             assert cx <= cy
         assert abs(cx - cy) <= abs(x - y)
@@ -155,19 +134,12 @@ class TestTextForms:
 
 class TestBackends:
     def test_names(self):
-        assert backend_from_name("exact") is EXACT
-        assert backend_from_name("float") is FLOAT64
-        with pytest.raises(ValueError):
-            backend_from_name("double")
+        assert BACKENDS == {"exact": EXACT, "float": FLOAT64}
+        assert "double" not in BACKENDS
 
     def test_exact_properties(self):
-        assert EXACT.is_exact and EXACT.name == "exact"
-        assert EXACT.kind is BackendKind.EXACT
-
-    def test_float_precision_pinned_to_64(self):
-        assert FLOAT64.precision_bits == 64
-        with pytest.raises(ValueError):
-            ScalarBackend(BackendKind.FLOAT, 32)
+        assert EXACT.name == "exact" and EXACT.scalar is Fraction
+        assert FLOAT64.name == "float" and FLOAT64.scalar is float
 
     def test_exact_convert(self):
         assert EXACT.convert("3/4") == Fraction(3, 4)

@@ -9,6 +9,7 @@ import pytest
 from interpbisect import (
     FLOAT64,
     BackendNotExact,
+    InvalidTolerance,
     ProblemConfig,
     SignsStraddle,
     StepRecord,
@@ -21,7 +22,9 @@ from interpbisect import (
     continuity_budget_check,
     eval_exact,
     extract_witness,
+    format_rational,
     grid_oracle,
+    interpolation_weight,
     parse,
     report_to_json,
     run,
@@ -292,3 +295,51 @@ def test_long_exact_run_round_trips_and_verifies():
     assert len(outcomes) == 200
     assert not [o for o in outcomes if isinstance(o.case, Violation)]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# A 5,000-digit numerator: formatting it with str() in an f-string raises
+# CPython's own digit-limit ValueError instead of the intended message.
+BIG = F(10**5000 + 1, 3)
+
+
+@pytest.mark.parametrize(
+    "call,error,prefix",
+    [
+        pytest.param(
+            lambda trace: ProblemConfig(a=BIG, b=F(0), epsilon=F(1)),
+            ValueError, "need a < b, got a = ", id="config-interval",
+        ),
+        pytest.param(
+            lambda trace: ProblemConfig(a=F(0), b=F(1), epsilon=-BIG),
+            InvalidTolerance, "epsilon must be positive, got -", id="config-epsilon",
+        ),
+        pytest.param(
+            lambda trace: ProblemConfig(a=BIG, b=BIG + 1, epsilon=F(1), backend=FLOAT64),
+            TypeError, "a must be float under the float backend, got Fraction ",
+            id="config-scalar-type",
+        ),
+        pytest.param(
+            lambda trace: interpolation_weight(F(1), -BIG),
+            InvalidTolerance, "epsilon must be positive, got -", id="weight-epsilon",
+        ),
+        pytest.param(
+            lambda trace: continuity_budget_check(trace, -BIG, 1),
+            ValueError, "delta must be positive, got -", id="budget-delta",
+        ),
+        pytest.param(
+            lambda trace: grid_oracle(parse("x"), BIG, F(0), F(1), 4),
+            ValueError, "need a < b, got a = ", id="grid-interval",
+        ),
+        pytest.param(
+            lambda trace: grid_oracle(parse("x"), F(0), F(1), -BIG, 4),
+            ValueError, "epsilon must be positive, got -", id="grid-epsilon",
+        ),
+    ],
+)
+def test_messages_past_the_digit_limit(call, error, prefix, sample_trace_half):
+    with pytest.raises((ValueError, TypeError)) as err:
+        call(sample_trace_half)
+    assert type(err.value) is error
+    message = str(err.value)
+    assert message.startswith(prefix)
+    assert format_rational(BIG) in message
