@@ -258,6 +258,12 @@ def _backend_of(*values: Scalar) -> ExactBackend | FloatBackend:
     return FLOAT64 if any(isinstance(v, float) for v in values) else EXACT
 
 
+def _require_int(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is an int; a bool is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """One root-bracketing problem: interval, tolerance, and run policy.
@@ -293,6 +299,11 @@ class ProblemConfig:
         if not self.epsilon > 0:
             raise InvalidTolerance(
                 f"epsilon must be positive, got {scalar_text(self.epsilon)}"
+            )
+        _require_int("max_steps", self.max_steps)
+        if not isinstance(self.stop_early, bool):
+            raise TypeError(
+                f"stop_early must be a bool, got {type(self.stop_early).__name__}"
             )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
@@ -555,7 +566,7 @@ def trace_from_jsonl(text: str) -> Trace:
             max_steps=_take(head, "max_steps", 1),
             weight_mode=mode,
             backend=backend,
-            stop_early=bool(head.get("stop_early", False)),
+            stop_early=head.get("stop_early", False),
         )
     except (ValueError, TypeError) as exc:
         raise TraceFormatError(f"line 1: bad config: {exc}") from exc

@@ -32,7 +32,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul, neg, sub, truediv
 from typing import Iterator, Tuple, Union
 
 from .numerics import _coprime, reduced, scalar_text
@@ -367,6 +369,103 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
     except EvalError:
         return fn, None, lowest
     return _exact_const(value.numerator, value.denominator)
+
+
+# Grid columns.  On a grid x = u/den with den fixed, every subtree whose
+# divisors are nonzero constants has one constant scale s > 0: its value
+# at each grid point is N(u)/s with N an integer.  _compile_grid turns
+# such a tree into one C-level ``map`` per node over a block of
+# numerators u, aligning scales by their lcm; the verifier's grid oracle
+# scans with it and builds a Fraction only for the point it reports.
+
+_GRID_FOLD = {Add: add, Sub: sub, Mul: mul, Div: truediv, Min: min, Max: max}
+_GRID_MAP = {Add: add, Sub: sub, Min: min, Max: max}
+
+
+def _grid_times(f, m: int):
+    """The column ``f`` multiplied by the integer ``m``."""
+    if m == 1:
+        return f
+    return lambda us: map(mul, f(us), repeat(m))
+
+
+def _grid_column(node, scale: int):
+    """A constant or ``(fn, s)`` node as a column over ``scale``, a multiple of s."""
+    if isinstance(node, Fraction):
+        c = node.numerator * (scale // node.denominator)
+        return lambda us: repeat(c)
+    f, s = node
+    return _grid_times(f, scale // s)
+
+
+def _grid_node(expr: FunctionExpr, den: int):
+    """A Fraction for a subtree without x, else ``(fn, s)``, else None."""
+    if isinstance(expr, Var):
+        return (lambda us: us), den
+    if isinstance(expr, RationalConst):
+        return expr.value
+    if isinstance(expr, (Neg, Abs, Pow)):
+        inner = _grid_node(expr.base if isinstance(expr, Pow) else expr.operand, den)
+        if inner is None:
+            return None
+        if isinstance(expr, Pow):
+            k = expr.exponent
+            if isinstance(inner, Fraction):
+                return inner**k
+            if k == 0:
+                return Fraction(1)
+            f, s = inner
+            return (lambda us: map(pow, f(us), repeat(k))), s**k
+        if isinstance(inner, Fraction):
+            return -inner if isinstance(expr, Neg) else abs(inner)
+        f, s = inner
+        op = neg if isinstance(expr, Neg) else abs
+        return (lambda us: map(op, f(us))), s
+
+    left = _grid_node(expr.left, den)
+    right = _grid_node(expr.right, den)
+    if left is None or right is None:
+        return None
+    kind = type(expr)
+    if isinstance(left, Fraction) and isinstance(right, Fraction):
+        try:
+            return _GRID_FOLD[kind](left, right)
+        except ZeroDivisionError:
+            return None
+    if kind is Div:
+        if not isinstance(right, Fraction) or right == 0:
+            return None
+        # u / c is u * (1/c); the Fraction moves c's sign to the numerator.
+        kind, right = Mul, 1 / right
+    if kind is Mul:
+        if isinstance(left, Fraction) or isinstance(right, Fraction):
+            c, (f, s) = (left, right) if isinstance(left, Fraction) else (right, left)
+            if c == 0:
+                return c
+            s *= c.denominator
+            g = gcd(c.numerator, s)
+            return _grid_times(f, c.numerator // g), s // g
+        (f, s), (g, t) = left, right
+        return (lambda us: map(mul, f(us), g(us))), s * t
+    scale = lcm(*(n.denominator if isinstance(n, Fraction) else n[1] for n in (left, right)))
+    f, g, op = _grid_column(left, scale), _grid_column(right, scale), _GRID_MAP[kind]
+    return (lambda us: map(op, f(us), g(us))), scale
+
+
+def _compile_grid(expr: FunctionExpr, den: int):
+    """``(fn, s)`` tabulating ``expr`` on the points x = u/den, or None.
+
+    ``fn(us)`` maps a block of integer numerators ``us`` (a ``range``)
+    to an iterator over the integers N with expr(u/den) = N/s, for one
+    scale s > 0 fixed here.  None when a divisor depends on x or is
+    zero, or a subtree without x divides by zero: those trees are
+    evaluated point by point, where the error names its x and node.
+    """
+    node = _grid_node(expr, den)
+    if isinstance(node, Fraction):
+        c = node.numerator
+        return (lambda us: repeat(c, len(us))), node.denominator
+    return node
 
 
 def _compile_float(expr: FunctionExpr, path: Tuple[str, ...]):

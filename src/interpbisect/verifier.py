@@ -13,6 +13,13 @@ Two further checks are independent of the iteration: a continuity
 budget that certifies the hypotheses |x - c_m| < delta routinely used
 with a modulus of continuity, and a brute-force grid search that finds
 approximate roots with no reference to the iteration at all.
+
+The grid search writes every grid point as u/den over one common
+denominator.  When each divisor in f is a nonzero constant, f at those
+points is N(u)/s for one integer scale s, so :func:`grid_oracle` scans
+integer columns a block at a time and compares |N| with epsilon * s in
+integers; only the reported point becomes a Fraction.  A function with
+an x-dependent or zero divisor is evaluated point by point instead.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .core import EXACT, Trace, cauchy_bound
-from .funcdsl import FunctionExpr, eval_exact
+from .core import EXACT, Trace, _require_int, cauchy_bound
+from .funcdsl import FunctionExpr, _compile_grid, eval_exact
 from .numerics import format_rational, scalar_text
 
 __all__ = [
@@ -198,12 +205,14 @@ def continuity_budget_check(trace: Trace, delta: Fraction, m: int) -> Continuity
 
     Raises:
         BackendNotExact: for float traces.
+        TypeError: unless ``m`` is an int.
         ValueError: if ``delta <= 0`` or ``m`` is not a recorded step.
     """
     _require_exact(trace)
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {scalar_text(delta)}")
+    _require_int("m", m)
     if not 1 <= m <= len(trace.steps):
         raise ValueError(
             f"m = {m} is not a recorded step (trace has {len(trace.steps)})"
@@ -216,6 +225,11 @@ def continuity_budget_check(trace: Trace, delta: Fraction, m: int) -> Continuity
         limit_gap_ok=cauchy_bound(m, width) < half_delta,
         halfwidth_ok=width / 2**m < half_delta,
     )
+
+
+# Points per block of the integer grid scan: 64 to 256 scan alike, and
+# 1,024 was slower.
+_GRID_BLOCK = 128
 
 
 def grid_oracle(
@@ -233,27 +247,44 @@ def grid_oracle(
     a run's witness is evidence, not circularity.
 
     Raises:
+        TypeError: unless ``grid_n`` is an int.
         ValueError: unless a < b, epsilon > 0, and grid_n >= 1.
+        EvalError: if f divides by zero at a grid point scanned.
     """
     a, b, epsilon = Fraction(a), Fraction(b), Fraction(epsilon)
     if not a < b:
         raise ValueError(f"need a < b, got a = {scalar_text(a)}, b = {scalar_text(b)}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {scalar_text(epsilon)}")
+    _require_int("grid_n", grid_n)
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
-    # x_k = a + k (b - a) / grid_n over one common denominator, so each
-    # point costs one Fraction construction.
+    # x_k = (start + k stride) / den: every grid point over one
+    # common denominator.
     width = b - a
     den = a.denominator * width.denominator * grid_n
     start = a.numerator * width.denominator * grid_n
     stride = width.numerator * a.denominator
-    below = -epsilon  # test |f_x| < epsilon as below < f_x < epsilon
-    for k in range(grid_n + 1):
-        x = Fraction(start + k * stride, den)
-        f_x = eval_exact(f, x)
-        if below < f_x < epsilon:
-            return WitnessCertificate(kind=WitnessKind.GRID, x=x, f_x=f_x, index=k)
+    kernel = _compile_grid(f, den)
+    if kernel is None:
+        below = -epsilon  # test |f_x| < epsilon as below < f_x < epsilon
+        for k in range(grid_n + 1):
+            x = Fraction(start + k * stride, den)
+            f_x = eval_exact(f, x)
+            if below < f_x < epsilon:
+                return WitnessCertificate(kind=WitnessKind.GRID, x=x, f_x=f_x, index=k)
+        return None
+    # f(x_k) = N_k / scale with N_k an integer, so |f(x_k)| < epsilon
+    # is |N_k| < epsilon * scale, that is |N_k| <= limit.
+    column, scale = kernel
+    limit = -(-epsilon.numerator * scale // epsilon.denominator) - 1
+    for k0 in range(0, grid_n + 1, _GRID_BLOCK):
+        stop = min(k0 + _GRID_BLOCK, grid_n + 1)
+        us = range(start + k0 * stride, start + stop * stride, stride)
+        if min(map(abs, column(us))) <= limit:
+            k = k0 + list(map(limit.__ge__, map(abs, column(us)))).index(True)
+            x = Fraction(start + k * stride, den)
+            return WitnessCertificate(kind=WitnessKind.GRID, x=x, f_x=eval_exact(f, x), index=k)
     return None
 
 

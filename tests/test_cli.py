@@ -289,6 +289,16 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "trace: line 1: unknown backend " in err
 
+    @pytest.mark.parametrize("key,value", [("max_steps", 2.5), ("max_steps", True), ("stop_early", "no")])
+    def test_mistyped_head_flag_is_usage_error(self, trace_path, capsys, key, value):
+        lines = trace_path.read_text().splitlines()
+        head = json.loads(lines[0])
+        head[key] = value
+        trace_path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
+        code, _, err = run_cli(["verify", "-t", trace_path, "-f", SAMPLE_TEXT], capsys)
+        assert code == EXIT_USAGE
+        assert f"trace: line 1: bad config: {key} must be " in err
+
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, _ = run_cli(["verify", "-t", tmp_path / "nope.jsonl", "-f", "x"], capsys)
         assert code == EXIT_USAGE

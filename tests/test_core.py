@@ -272,6 +272,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3), max_steps=0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_max_steps_must_be_an_int(self, value):
+        with pytest.raises(TypeError, match=r"^max_steps must be an int, got "):
+            ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3), max_steps=value)
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_stop_early_must_be_a_bool(self, value):
+        with pytest.raises(TypeError, match=r"^stop_early must be a bool, got "):
+            ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3), stop_early=value)
+
     def test_scalars_must_match_backend(self):
         with pytest.raises(TypeError):
             ProblemConfig(a=-1.0, b=1.0, epsilon=0.5)  # floats under exact
@@ -453,6 +463,24 @@ class TestTraceJsonl:
         head["backend"] = name
         with pytest.raises(TraceFormatError, match=r"^line 1: unknown backend "):
             trace_from_jsonl("\n".join([json.dumps(head)] + lines[1:]))
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("max_steps", 2.5, "max_steps must be an int, got float"),
+            ("max_steps", True, "max_steps must be an int, got bool"),
+            ("stop_early", "no", "stop_early must be a bool, got str"),
+            ("stop_early", 1, "stop_early must be a bool, got int"),
+        ],
+    )
+    def test_head_flags_keep_their_types(self, sample, key, value, message):
+        trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=2), sample)
+        lines = trace_to_jsonl(trace).splitlines()
+        head = json.loads(lines[0])
+        head[key] = value
+        with pytest.raises(TraceFormatError) as err:
+            trace_from_jsonl("\n".join([json.dumps(head)] + lines[1:]))
+        assert str(err.value) == f"line 1: bad config: {message}"
 
     def test_pickled_and_copied_traces_keep_their_backend(self, sample):
         trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=3), sample)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interpbisect import numerics
+from interpbisect.funcdsl import _compile_grid
 from interpbisect import (
     Abs,
     Add,
@@ -30,6 +31,7 @@ from interpbisect import (
     to_text,
 )
 from reference import SAMPLE_TEXT, WalkDivisionByZero, walk_eval
+from strategies import eval_trees
 
 F = Fraction
 X = Var()
@@ -352,29 +354,6 @@ class TestSemantics:
 # ---------------------------------------------------------------------------
 # Compiled evaluators against a plain tree walk (tests/reference.py)
 
-_signed_consts = st.fractions(min_value=-50, max_value=50, max_denominator=30).map(RationalConst)
-
-
-def _any_compound(children):
-    return st.one_of(
-        st.builds(Neg, children),
-        st.builds(Abs, children),
-        st.builds(Add, children, children),
-        st.builds(Sub, children, children),
-        st.builds(Mul, children, children),
-        st.builds(Div, children, children),
-        st.builds(Div, children, st.just(C(0))),
-        st.builds(Pow, children, st.integers(min_value=0, max_value=3)),
-        st.builds(Min, children, children),
-        st.builds(Max, children, children),
-    )
-
-
-# Every node type, negative constants, subtrees without x (any subtree
-# whose leaves are all constants), nested min/max, and zero divisors,
-# both literal and computed.
-_eval_trees = st.recursive(st.one_of(st.just(X), _signed_consts), _any_compound, max_leaves=12)
-
 _big_ints = st.integers(min_value=1, max_value=2**2500)
 _exact_points = st.one_of(
     st.just(F(0)),
@@ -402,8 +381,30 @@ def _same_float(u: float, v: float) -> bool:
     ) == math.copysign(1.0, v)
 
 
+def _nodes(expr):
+    yield expr
+    for name in ("left", "right", "operand", "base"):
+        child = getattr(expr, name, None)
+        if child is not None:
+            yield from _nodes(child)
+
+
+def _needs_point_loop(expr) -> bool:
+    """Some divisor depends on x, is zero, or itself divides by zero."""
+    for node in _nodes(expr):
+        if isinstance(node, Div):
+            if any(isinstance(n, Var) for n in _nodes(node.right)):
+                return True
+            try:
+                if walk_eval(node.right, F(0), Fraction) == 0:
+                    return True
+            except WalkDivisionByZero:
+                return True
+    return False
+
+
 class TestCompiledEvaluators:
-    @given(_eval_trees, _exact_points)
+    @given(eval_trees, _exact_points)
     @settings(max_examples=300, deadline=None)
     def test_exact_equals_walk_in_lowest_terms(self, expr, x):
         got, got_error = _outcome(eval_exact, expr, x)
@@ -415,7 +416,7 @@ class TestCompiledEvaluators:
             assert got.denominator > 0
             assert math.gcd(got.numerator, got.denominator) == 1
 
-    @given(_eval_trees, _float_points)
+    @given(eval_trees, _float_points)
     @settings(max_examples=300, deadline=None)
     def test_float_bit_identical_to_walk(self, expr, x):
         got, got_error = _outcome(eval_float, expr, x)
@@ -423,6 +424,52 @@ class TestCompiledEvaluators:
         assert got_error == want_error
         if want_error is None:
             assert _same_float(got, want)
+
+    @given(
+        eval_trees,
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.integers(min_value=1, max_value=10**4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grid_columns_equal_walk(self, expr, den, u0, stride):
+        # The verifier's grid columns: integers N over one scale s with
+        # N/s = f(u/den) at every u.  Every tree whose divisors are
+        # nonzero constants gets them; x^0 counts as the constant 1.
+        kernel = _compile_grid(expr, den)
+        if kernel is None:
+            assert _needs_point_loop(expr)
+            return
+        column, scale = kernel
+        us = range(u0, u0 + 16 * stride, stride)
+        got = list(column(us))
+        assert type(scale) is int and scale > 0
+        assert all(type(n) is int for n in got)
+        want = [walk_eval(expr, Fraction(u, den), Fraction) for u in us]
+        assert [Fraction(n, scale) for n in got] == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2/3 + (x^2 - x/3)",
+            "(x^2 - x/3) + 2/3",
+            "2/3 - (x^2 - x/3)",
+            "(x^2 - x/3) - 2/3",
+            "-2/3 * (x^2 - x/3)",
+            "(x^2 - x/3) * -2/3",
+            "(x^2 - x/3) / (-2/3)",
+            "min(2/3, x^2 - x/3)",
+            "max(x^2 - x/3, 2/3)",
+            "-abs(x - 1/2)^3 + 0*x",
+            "x^0 + (1/x^0)",
+        ],
+    )
+    def test_grid_columns_with_a_constant_on_either_side(self, text):
+        expr = parse(text)
+        column, scale = _compile_grid(expr, 14)
+        us = range(-30, 31)
+        want = [walk_eval(expr, Fraction(u, 14), Fraction) for u in us]
+        assert [Fraction(n, scale) for n in column(us)] == want
 
     @pytest.mark.parametrize(
         "text,x,path",

@@ -5,10 +5,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interpbisect import (
     FLOAT64,
     BackendNotExact,
+    EvalError,
     InvalidTolerance,
     ProblemConfig,
     SignsStraddle,
@@ -31,7 +34,16 @@ from interpbisect import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from reference import SAMPLE_A, SAMPLE_B, SAMPLE_ROOT, SAMPLE_TEXT, textbook_bisection
+from reference import (
+    SAMPLE_A,
+    SAMPLE_B,
+    SAMPLE_ROOT,
+    SAMPLE_TEXT,
+    WalkDivisionByZero,
+    textbook_bisection,
+    walk_eval,
+)
+from strategies import eval_trees
 
 F = Fraction
 
@@ -205,6 +217,11 @@ class TestContinuityBudget:
         with pytest.raises(BackendNotExact):
             continuity_budget_check(float_trace, F(1, 8), 2)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "2"])
+    def test_m_must_be_an_int(self, sample_trace_half, m):
+        with pytest.raises(TypeError, match=r"^m must be an int, got "):
+            continuity_budget_check(sample_trace_half, F(1, 8), m)
+
 
 class TestGridOracle:
     def test_sample_first_hit_frozen(self, sample_fn):
@@ -240,6 +257,52 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(sample_fn, F(-1), F(1), F(1, 3), 0)
 
+    @pytest.mark.parametrize("grid_n", [True, 2.0, "2"])
+    def test_grid_n_must_be_an_int(self, grid_n):
+        with pytest.raises(TypeError, match=r"^grid_n must be an int, got "):
+            grid_oracle(parse("x"), F(-1), F(1), F(1, 2), grid_n)
+
+    # Divisors that depend on x or are zero take the point-by-point scan,
+    # which raises at the first grid point that divides by zero.
+    @pytest.mark.parametrize(
+        "text,x,path",
+        [
+            ("1/(x-x)", -1, ("Div",)),
+            ("x/(1-1)", -1, ("Div",)),
+            ("min(x+2, 1/x)", 0, ("Min[1]", "Div")),
+        ],
+    )
+    def test_division_by_zero_names_point_and_node(self, text, x, path):
+        with pytest.raises(EvalError) as err:
+            grid_oracle(parse(text), F(-1), F(1), F(1, 2), 2)
+        assert err.value.x == x and type(err.value.x) is Fraction
+        assert err.value.path == path
+
+    # The integer scan goes 128 points at a time: hits on either side of
+    # a block edge, and at the last grid point.
+    @pytest.mark.parametrize(
+        "a,b,grid_n,k",
+        [
+            (-127, 2, 129, 127),
+            (-128, 1, 129, 128),
+            (-129, 0, 129, 129),
+            (-128, 0, 128, 128),
+            (-300, 0, 300, 300),
+        ],
+    )
+    def test_hits_at_block_edges(self, a, b, grid_n, k):
+        cert = grid_oracle(parse("x"), F(a), F(b), F(1, 2), grid_n)
+        assert (cert.kind, cert.index, cert.x, cert.f_x) == (WitnessKind.GRID, k, F(0), F(0))
+
+    @pytest.mark.parametrize("k", [127, 128, 129, 300])
+    def test_scaled_hits_at_block_edges(self, k):
+        # Constant factors, a constant subtrahend and a min against a
+        # constant each change the integer scale; only x_k is within
+        # 5/2100 of k/300.
+        f = parse(f"7/5*(x - {k}/300) + min(x, 0)")
+        cert = grid_oracle(f, F(0), F(1), F(1, 300), 300)
+        assert (cert.index, cert.x, cert.f_x) == (k, F(k, 300), F(0))
+
     def test_agrees_with_textbook_bisection_neighborhood(self, sample_fn):
         # the grid hit and the sign-rule bisection both localize the
         # same crossing of the sample function
@@ -248,6 +311,45 @@ class TestGridOracle:
         a_20, b_20, _, _ = rows[-1]
         assert a_20 <= SAMPLE_ROOT <= b_20
         assert abs(cert.x - SAMPLE_ROOT) < F(1, 27)
+
+
+@given(
+    eval_trees,
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.fractions(min_value=F(1, 12), max_value=6, max_denominator=12),
+    st.integers(min_value=1, max_value=300),
+    st.fractions(min_value=F(1, 1000), max_value=20, max_denominator=1000),
+)
+# A constant left of a Sub, under a min: the operand order shows in the hit.
+@example(parse("min(1 - x, x/2)"), F(-1), F(2), 200, F(1, 100))
+@settings(max_examples=200, deadline=None)
+def test_grid_oracle_equals_walk_scan(expr, a, width, grid_n, epsilon):
+    # The oracle: f at x_0, x_1, ... by walk_eval, up to the first
+    # division by zero, and the first of them below each tolerance.
+    points = [a + width * Fraction(k, grid_n) for k in range(grid_n + 1)]
+    values = []
+    error = None
+    for x in points:
+        try:
+            values.append(walk_eval(expr, x, Fraction))
+        except WalkDivisionByZero as exc:
+            error = ("error", exc.x, exc.path)
+            break
+    # The drawn tolerance, and tolerances just above |f| at grid points
+    # spread over the scan, so first hits fall anywhere in the grid.
+    spread = values[:: max(1, len(values) // 8)]
+    for tolerance in [epsilon] + [abs(v) + F(1, 10**9) for v in spread]:
+        want = next(
+            ((k, points[k], v) for k, v in enumerate(values) if abs(v) < tolerance), error
+        )
+        try:
+            cert = grid_oracle(expr, a, a + width, tolerance, grid_n)
+        except EvalError as exc:
+            got = ("error", exc.x, exc.path)
+        else:
+            assert cert is None or cert.kind is WitnessKind.GRID
+            got = cert and (cert.index, cert.x, cert.f_x)
+        assert got == want
 
 
 class TestReport:
