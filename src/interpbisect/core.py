@@ -32,7 +32,9 @@ in floats when any operand is a float, else exactly.
 
 Runs record every step into a :class:`Trace`, which serializes to JSONL:
 one config line, one line per step, one final line.  Exact scalars are
-``num/den`` strings, float scalars are JSON numbers.
+``num/den`` strings, float scalars are JSON numbers.  Writing and
+reading an exact trace converts each distinct denominator between int
+and text once per call, since a_n, b_n and c_n share one on every line.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .funcdsl import FunctionExpr, eval_exact, eval_float
+from .numerics import _FEW_TWOS, _aligned, _DenTexts, _read_plain
 from .numerics import format_rational, parse_rational, reduced, scalar_text
 
 __all__ = [
@@ -115,7 +118,10 @@ class ExactBackend:
     The step arithmetic works on integer (num, den) pairs and reduces each
     stored value once with :func:`~interpbisect.numerics.reduced`;
     Fraction operators would run a full gcd per operation over the
-    thousands of bits the windows grow to.
+    thousands of bits the windows grow to.  The midpoint and the window
+    update put their two operands over one denominator with
+    :func:`~interpbisect.numerics._aligned`, which lines up the powers
+    of two by shifts, so the window's 2^E never multiplies itself.
     """
 
     name = "exact"
@@ -158,11 +164,30 @@ class ExactBackend:
             )
         return parse_rational(value)
 
+    def _trace_codec(self):
+        """``(to_json, from_json)`` for one trace call.
+
+        Each converts every distinct denominator between int and text
+        once per call (see :mod:`interpbisect.numerics`); the text and
+        the errors are those of :meth:`to_json` and :meth:`from_json`.
+        """
+        dens = {}
+
+        def from_json(value: Union[str, int, float]) -> Fraction:
+            if isinstance(value, str):
+                q = _read_plain(value, dens)
+                if q is not None:
+                    return q
+            return self.from_json(value)
+
+        return _DenTexts().format, from_json
+
     def midpoint(self, a: Fraction, b: Fraction) -> Fraction:
-        return reduced(
-            a.numerator * b.denominator + b.numerator * a.denominator,
-            2 * a.denominator * b.denominator,
-        )
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        if (ad | bd) & _FEW_TWOS:
+            return reduced(an * bd + bn * ad, 2 * ad * bd)
+        x, y, u, v = _aligned(an, ad, bn, bd)
+        return reduced(x + y, 2 * u * v)
 
     def interpolation_weight(self, f_c: Fraction, epsilon: Fraction) -> Fraction:
         """The interpolated weight; the caller guarantees ``epsilon > 0``."""
@@ -186,12 +211,17 @@ class ExactBackend:
         # shift = sn / sd, unreduced; each endpoint is reduced once.
         sn = d.numerator * width.numerator
         sd = (d.denominator * width.denominator) << state.n
-        cd, bd = c.denominator, b.denominator
-        return IterationState(
-            state.n + 1,
-            reduced(c.numerator * sd - sn * cd, cd * sd),
-            reduced(b.numerator * sd - sn * bd, bd * sd),
-        )
+        cn, cd, bn, bd = c.numerator, c.denominator, b.numerator, b.denominator
+        if (cd | bd | sd) & _FEW_TWOS:
+            return IterationState(
+                state.n + 1,
+                reduced(cn * sd - sn * cd, cd * sd),
+                reduced(bn * sd - sn * bd, bd * sd),
+            )
+        x, y, u, v = _aligned(cn, cd, sn, sd)
+        a_next = reduced(x - y, u * v)
+        x, y, u, v = _aligned(bn, bd, sn, sd)
+        return IterationState(state.n + 1, a_next, reduced(x - y, u * v))
 
 
 class FloatBackend:
@@ -226,6 +256,10 @@ class FloatBackend:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"float trace values must be numbers, got {value!r}")
         return float(value)
+
+    def _trace_codec(self):
+        """``(to_json, from_json)`` for one trace."""
+        return self.to_json, self.from_json
 
     def midpoint(self, a: float, b: float) -> float:
         return (a + b) / 2
@@ -471,8 +505,8 @@ def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
 # ---------------------------------------------------------------------------
 # JSONL trace format
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# json.dumps(obj, separators=(",", ":")), without building an encoder per line.
+_dump = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -481,12 +515,13 @@ def trace_to_jsonl(trace: Trace) -> str:
     Exact scalars become ``num/den`` strings, float scalars JSON
     numbers; the output is deterministic byte for byte.
     """
-    backend = trace.config.backend
     config = trace.config
+    backend = config.backend
+    to_json, _ = backend._trace_codec()
     head = {
-        "a": backend.to_json(config.a),
-        "b": backend.to_json(config.b),
-        "epsilon": backend.to_json(config.epsilon),
+        "a": to_json(config.a),
+        "b": to_json(config.b),
+        "epsilon": to_json(config.epsilon),
         "backend": backend.name,
         "mode": config.weight_mode.value,
         "max_steps": config.max_steps,
@@ -499,17 +534,17 @@ def trace_to_jsonl(trace: Trace) -> str:
             _dump(
                 {
                     "n": rec.n,
-                    "a_n": backend.to_json(rec.a_n),
-                    "b_n": backend.to_json(rec.b_n),
-                    "c_n": backend.to_json(rec.c_n),
-                    "f_c_n": backend.to_json(rec.f_c_n),
-                    "d_n": backend.to_json(rec.d_n),
+                    "a_n": to_json(rec.a_n),
+                    "b_n": to_json(rec.b_n),
+                    "c_n": to_json(rec.c_n),
+                    "f_c_n": to_json(rec.f_c_n),
+                    "d_n": to_json(rec.d_n),
                 }
             )
         )
     tail = {
-        "limit_estimate": backend.to_json(trace.limit_estimate),
-        "limit_error_bound": backend.to_json(trace.limit_error_bound),
+        "limit_estimate": to_json(trace.limit_estimate),
+        "limit_error_bound": to_json(trace.limit_error_bound),
     }
     if trace.stopped_early_at is not None:
         tail["stopped_early_at"] = trace.stopped_early_at
@@ -554,15 +589,16 @@ def trace_from_jsonl(text: str) -> Trace:
         raise TraceFormatError(
             f"line 1: unknown backend {name!r} (expected 'exact' or 'float')"
         )
+    _, from_json = backend._trace_codec()
     try:
         mode = WeightMode(_take(head, "mode", 1))
     except ValueError as exc:
         raise TraceFormatError(f"line 1: {exc}") from exc
     try:
         config = ProblemConfig(
-            a=backend.from_json(_take(head, "a", 1)),
-            b=backend.from_json(_take(head, "b", 1)),
-            epsilon=backend.from_json(_take(head, "epsilon", 1)),
+            a=from_json(_take(head, "a", 1)),
+            b=from_json(_take(head, "b", 1)),
+            epsilon=from_json(_take(head, "epsilon", 1)),
             max_steps=_take(head, "max_steps", 1),
             weight_mode=mode,
             backend=backend,
@@ -577,11 +613,11 @@ def trace_from_jsonl(text: str) -> Trace:
         try:
             rec = StepRecord(
                 n=_take(obj, "n", lineno),
-                a_n=backend.from_json(_take(obj, "a_n", lineno)),
-                b_n=backend.from_json(_take(obj, "b_n", lineno)),
-                c_n=backend.from_json(_take(obj, "c_n", lineno)),
-                f_c_n=backend.from_json(_take(obj, "f_c_n", lineno)),
-                d_n=backend.from_json(_take(obj, "d_n", lineno)),
+                a_n=from_json(_take(obj, "a_n", lineno)),
+                b_n=from_json(_take(obj, "b_n", lineno)),
+                c_n=from_json(_take(obj, "c_n", lineno)),
+                f_c_n=from_json(_take(obj, "f_c_n", lineno)),
+                d_n=from_json(_take(obj, "d_n", lineno)),
             )
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad step: {exc}") from exc
@@ -600,8 +636,8 @@ def trace_from_jsonl(text: str) -> Trace:
         return Trace(
             config=config,
             steps=tuple(records),
-            limit_estimate=backend.from_json(_take(tail, "limit_estimate", lineno)),
-            limit_error_bound=backend.from_json(_take(tail, "limit_error_bound", lineno)),
+            limit_estimate=from_json(_take(tail, "limit_estimate", lineno)),
+            limit_error_bound=from_json(_take(tail, "limit_error_bound", lineno)),
             stopped_early_at=stopped,
         )
     except ValueError as exc:

@@ -37,7 +37,7 @@ from math import gcd, lcm
 from operator import add, mul, neg, sub, truediv
 from typing import Iterator, Tuple, Union
 
-from .numerics import _coprime, reduced, scalar_text
+from .numerics import _FEW_TWOS, _aligned, _coprime, reduced, scalar_text
 
 __all__ = [
     "Var",
@@ -191,7 +191,12 @@ class EvalError(ArithmeticError):
 # terms.  Sums, products and quotients of two x-dependent subtrees skip
 # the gcd, and eval_exact normalizes once at the end: with no gcd at all
 # where the compiler proved the pair already reduced, else through
-# ``numerics.reduced``, which splits off the power of two first.
+# ``numerics.reduced``, which splits off the power of two first.  Sums
+# and min/max comparisons of two x-dependent subtrees go through
+# ``numerics._aligned``: at the iteration's midpoints x = n/2^E q, so a
+# degree-k term carries about 2^(kE), and aligning by shifts keeps a sum
+# of a quartic and a square over 2^(4E) where cross-multiplying would
+# give 2^(6E).  Operands with at most 64 twos cross-multiply as before.
 
 
 def _raise_at(path: Tuple[str, ...]):
@@ -319,14 +324,20 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                 raise_(n, d)
         elif isinstance(expr, Min):
             def fn(n, d):
-                u = f(n, d)
-                v = g(n, d)
-                return v if v[0] * u[1] < u[0] * v[1] else u
+                u = a, b = f(n, d)
+                v = c, e = g(n, d)
+                if (b | e) & _FEW_TWOS:
+                    return v if c * b < a * e else u
+                x, y, _, _ = _aligned(a, b, c, e)
+                return v if y < x else u
         elif isinstance(expr, Max):
             def fn(n, d):
-                u = f(n, d)
-                v = g(n, d)
-                return v if u[0] * v[1] < v[0] * u[1] else u
+                u = a, b = f(n, d)
+                v = c, e = g(n, d)
+                if (b | e) & _FEW_TWOS:
+                    return v if a * e < c * b else u
+                x, y, _, _ = _aligned(a, b, c, e)
+                return v if x < y else u
         elif cf is not None or cg is not None:
             # One constant operand (both constant folds below).
             if isinstance(expr, Sub):
@@ -348,12 +359,18 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                 def fn(n, d):
                     a, b = f(n, d)
                     c, e = g(n, d)
-                    return a * e + c * b, b * e
+                    if (b | e) & _FEW_TWOS:
+                        return a * e + c * b, b * e
+                    x, y, u, v = _aligned(a, b, c, e)
+                    return x + y, u * v
             elif isinstance(expr, Sub):
                 def fn(n, d):
                     a, b = f(n, d)
                     c, e = g(n, d)
-                    return a * e - c * b, b * e
+                    if (b | e) & _FEW_TWOS:
+                        return a * e - c * b, b * e
+                    x, y, u, v = _aligned(a, b, c, e)
+                    return x - y, u * v
             else:
                 def fn(n, d):
                     a, b = f(n, d)
@@ -807,6 +824,10 @@ def _fmt(expr: FunctionExpr, require: int, *, wrap_neg: bool = False) -> str:
     return text
 
 
+def _is_int(expr) -> bool:
+    return isinstance(expr, RationalConst) and expr.value.denominator == 1
+
+
 def _render(expr: FunctionExpr) -> str:
     if isinstance(expr, Var):
         return "x"
@@ -822,7 +843,14 @@ def _render(expr: FunctionExpr) -> str:
     if isinstance(expr, Mul):
         return f"{_fmt(expr.left, _LEVEL_MUL)}*{_fmt(expr.right, _LEVEL_NEG, wrap_neg=True)}"
     if isinstance(expr, Div):
-        return f"{_fmt(expr.left, _LEVEL_MUL)}/{_fmt(expr.right, _LEVEL_NEG, wrap_neg=True)}"
+        left = _fmt(expr.left, _LEVEL_MUL)
+        if _is_int(expr.right) and _is_int(
+            expr.left.right if isinstance(expr.left, Mul)
+            else expr.left.operand if isinstance(expr.left, Neg) else None
+        ):
+            # 'x*3/4' and '-3/4' would read back with the ratio 3/4.
+            left = f"({left})"
+        return f"{left}/{_fmt(expr.right, _LEVEL_NEG, wrap_neg=True)}"
     if isinstance(expr, Pow):
         return f"{_fmt(expr.base, _LEVEL_ATOM)}^{expr.exponent}"
     if isinstance(expr, Min):

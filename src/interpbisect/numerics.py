@@ -12,10 +12,23 @@ bits, nearly all of them twos.  :func:`reduced` therefore brings a
 and taking the gcd of what is left, instead of a full gcd over every
 bit.  The hot normalizations go through it: trace decoding, the
 evaluator's results, and the exact backend's weight and window updates.
+For the same reason :func:`_aligned` puts two such pairs over one
+denominator by shifting out the difference in their powers of two and
+multiplying by the odd parts only, where cross-multiplying would
+multiply the powers of two together; the exact midpoint, the window
+update and the evaluator's sums and comparisons of two x-dependent
+subtrees go through it.
 
 Text forms are fixed because they appear verbatim in the JSONL trace
 format: rationals render as ``num/den`` (always with the denominator,
-e.g. ``-13/14``, ``0/1``).
+e.g. ``-13/14``, ``0/1``).  A trace repeats its large denominators:
+a_n, b_n and c_n share the window's on every line, and f(c_n) often
+shares it too.  So the trace writer and reader convert each distinct
+denominator once per call, through a memo dict per call
+(:class:`_DenTexts`, and the one :func:`_read_plain` takes).  Numerators
+are converted every time: the ones that repeat are saturated weights
+like ``1/1``, and a memo lookup that misses costs more than converting
+a small integer.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
 __all__ = [
     "reduced",
@@ -59,7 +72,9 @@ _coprime = _coprime_maker()
 # than the full gcd it saves, so they go straight to Fraction.  Measured on
 # Python 3.11.7 (2-vCPU VM), Fraction(num, den) against the split: 0.75-0.98
 # vs 1.3-1.6 us at 20-60 bits, 2.5 vs 1.6 us at 300 bits, 18 vs 2.6 us at
-# 2,000 bits, 120 vs 9.2 us at 7,500 bits.
+# 2,000 bits, 120 vs 9.2 us at 7,500 bits.  The callers of _aligned()
+# use the same test: a sum of two such pairs cost 0.26 us cross-multiplied
+# against 0.44 us aligned at 30 twos, and 17 vs 1.7 us at 2,000.
 _FEW_TWOS = (1 << 65) - 1
 
 
@@ -85,6 +100,26 @@ def reduced(num: int, den: int) -> Fraction:
     return _coprime(num, den)
 
 
+def _aligned(an: int, ad: int, bn: int, bd: int):
+    """``(x, y, u, v)`` with an/ad = x/(u v) and bn/bd = y/(u v), for ad, bd > 0.
+
+    The sum of the two pairs is (x + y, u * v), and an/ad < bn/bd iff
+    x < y, so a comparison skips the product.  With ad = 2^i p and
+    bd = 2^j q (p, q odd) the common denominator is 2^max(i, j) p q:
+    the smaller power of two is shifted up to the larger one and only
+    the odd parts multiply.  Callers cross-multiply instead when
+    ``(ad | bd) & _FEW_TWOS`` (either side has at most 64 twos): there
+    the shifts save less than the split costs.
+    """
+    i = (ad & -ad).bit_length() - 1
+    j = (bd & -bd).bit_length() - 1
+    if i <= j:
+        p = ad >> i
+        return (an * (bd >> j)) << (j - i), bn * p, bd, p
+    q = bd >> j
+    return an * q, (bn * (ad >> i)) << (i - j), ad, q
+
+
 def format_rational(q: Fraction) -> str:
     """Render ``q`` as ``num/den``, denominator always present."""
     try:
@@ -103,25 +138,72 @@ def scalar_text(value: Union[Fraction, float]) -> str:
         return format_rational(value)
 
 
+def _plain_int(text: str) -> Optional[int]:
+    """``int(text)`` for ASCII digits after an optional ``-``, else None.
+
+    int() also accepts spaces, signs and underscores, but none of them
+    can begin or end the digits, so with a digit at each end and no
+    ``_`` it reads ASCII digits alone and refuses everything else.
+    """
+    first = text[1:2] if text[:1] == "-" else text[:1]
+    if not (first.isdigit() and text[-1:].isdigit() and text.isascii() and "_" not in text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        # Not digits, or past the digit limit: Decimal reads digit text
+        # of any length.
+        return int(Decimal(text)) if text.lstrip("-").isdigit() else None
+
+
+def _read_plain(text: str, dens: dict) -> Optional[Fraction]:
+    """The trace format's own ``-?[0-9]+/[0-9]+`` with a positive denominator.
+
+    None for every other text, which :func:`parse_rational` reads (or
+    refuses) on its general path.  ``dens`` memoizes denominator text
+    -> :func:`_plain_int` for one trace reader.
+    """
+    num, slash, den = text.partition("/")
+    if slash:
+        d = dens.get(den)
+        if d is None:
+            d = dens[den] = _plain_int(den)
+        if d is not None and d > 0:
+            n = _plain_int(num)
+            if n is not None:
+                return reduced(n, d)
+    return None
+
+
+class _DenTexts(dict):
+    """Denominator texts for one trace writer: ``str(d)``, converted once."""
+
+    def __missing__(self, d: int) -> str:
+        try:
+            text = str(d)
+        except ValueError:
+            # Past the digit limit; see format_rational.
+            text = str(Decimal(d))
+        self[d] = text
+        return text
+
+    def format(self, q: Fraction) -> str:
+        """:func:`format_rational`, with the denominator's text from here."""
+        try:
+            return f"{q.numerator}/{self[q.denominator]}"
+        except ValueError:
+            return f"{Decimal(q.numerator)}/{self[q.denominator]}"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``num/den``, integer, or decimal text into an exact rational.
 
     Decimals convert exactly (``0.25`` -> 1/4), never through binary
     floats.  Integer and ``num/den`` text may have any number of digits.
     """
-    # Fast path for the trace format's own ``-?[0-9]+/[0-9]+``: ASCII
-    # digits only, a nonzero denominator, within the digit limit.  Every
-    # other text takes the general path below.
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if slash and den.isascii() and den.isdigit() and digits.isascii() and digits.isdigit():
-        try:
-            n, d = int(num), int(den)
-        except ValueError:
-            pass
-        else:
-            if d:
-                return reduced(n, d)
+    q = _read_plain(text, {})
+    if q is not None:
+        return q
     try:
         try:
             return Fraction(text.strip())

@@ -18,8 +18,10 @@ The grid search writes every grid point as u/den over one common
 denominator.  When each divisor in f is a nonzero constant, f at those
 points is N(u)/s for one integer scale s, so :func:`grid_oracle` scans
 integer columns a block at a time and compares |N| with epsilon * s in
-integers; only the reported point becomes a Fraction.  A function with
-an x-dependent or zero divisor is evaluated point by point instead.
+integers; only the reported point becomes a Fraction, with the value
+N/s read off its column, so the scan never compiles the exact evaluator.
+A function with an x-dependent or zero divisor is evaluated point by
+point instead.
 """
 
 from __future__ import annotations
@@ -282,9 +284,13 @@ def grid_oracle(
         stop = min(k0 + _GRID_BLOCK, grid_n + 1)
         us = range(start + k0 * stride, start + stop * stride, stride)
         if min(map(abs, column(us))) <= limit:
-            k = k0 + list(map(limit.__ge__, map(abs, column(us)))).index(True)
+            values = list(column(us))
+            i = list(map(limit.__ge__, map(abs, values))).index(True)
+            k = k0 + i
             x = Fraction(start + k * stride, den)
-            return WitnessCertificate(kind=WitnessKind.GRID, x=x, f_x=eval_exact(f, x), index=k)
+            return WitnessCertificate(
+                kind=WitnessKind.GRID, x=x, f_x=Fraction(values[i], scale), index=k
+            )
     return None
 
 

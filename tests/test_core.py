@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -482,6 +483,69 @@ class TestTraceJsonl:
             trace_from_jsonl("\n".join([json.dumps(head)] + lines[1:]))
         assert str(err.value) == f"line 1: bad config: {message}"
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # Fraction reads underscores from Python 3.11 on.
+            (
+                "1_0/4",
+                F(5, 2) if sys.version_info >= (3, 11)
+                else "line 2: bad step: not a rational number: '1_0/4'",
+            ),
+            (" 1/2", F(1, 2)),
+            ("+1/2", F(1, 2)),
+            ("\u0663/4", F(3, 4)),
+            ("1/0", "line 2: bad step: not a rational number: '1/0'"),
+            ("-/3", "line 2: bad step: not a rational number: '-/3'"),
+            ("--1/2", "line 2: bad step: not a rational number: '--1/2'"),
+            ("1/-2", "line 2: bad step: not a rational number: '1/-2'"),
+            ("2/4", F(1, 2)),
+            ("-0/5", F(0)),
+        ],
+        ids=repr,
+    )
+    def test_step_text_reads_as_parse_rational_does(self, text, expected):
+        # Each text in f_c_n of both steps, so the second reading meets a
+        # denominator the reader has already seen.  The values and messages
+        # are those the reader gave before it memoized denominators.
+        trace = run(ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3), max_steps=2), parse("x"))
+        lines = trace_to_jsonl(trace).splitlines()
+        for i in (1, 2):
+            step = json.loads(lines[i])
+            step["f_c_n"] = text
+            lines[i] = json.dumps(step)
+        if isinstance(expected, str):
+            with pytest.raises(TraceFormatError) as err:
+                trace_from_jsonl("\n".join(lines))
+            assert str(err.value) == expected
+        else:
+            back = trace_from_jsonl("\n".join(lines))
+            assert back.steps[0].f_c_n == back.steps[1].f_c_n == expected
+
+    def test_large_repeated_values_past_the_digit_limit(self):
+        # Integers past CPython's int <-> text limit (4,300 digits by
+        # default), each text several times: the writer and the reader
+        # must convert them exactly, through the memo or not.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        den = 3 ** (2 * limit) << 9000
+        big = F(-(10 ** (limit + 10)) - 7, den)
+        small_num = F(1, den)
+        wide = F(10 ** (limit + 5) + 1, 7)
+        config = ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3), max_steps=2)
+        steps = (
+            StepRecord(1, F(-1), F(1), big, small_num, wide),
+            StepRecord(2, big, small_num, big, big, wide),
+        )
+        trace = Trace(config, steps, limit_estimate=big, limit_error_bound=F(1))
+        text = trace_to_jsonl(trace)
+        step = json.loads(text.splitlines()[2])
+        assert [step[k] for k in ("a_n", "b_n", "c_n", "f_c_n", "d_n")] == [
+            format_rational(q) for q in (big, small_num, big, big, wide)
+        ]
+        assert len(format_rational(big).split("/")[0]) > limit
+        assert trace_from_jsonl(text) == trace
+        assert trace_to_jsonl(trace_from_jsonl(text)) == text
+
     def test_pickled_and_copied_traces_keep_their_backend(self, sample):
         trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=3), sample)
         again = pickle.loads(pickle.dumps(trace))
@@ -503,6 +567,15 @@ def _sha256(texts):
     return hashlib.sha256("".join(texts).encode()).hexdigest()
 
 
+def _round_trip(trace):
+    """``trace_to_jsonl(trace)``, after checking that it reads back unchanged."""
+    text = trace_to_jsonl(trace)
+    back = trace_from_jsonl(text)
+    assert back == trace
+    assert trace_to_jsonl(back) == text
+    return text
+
+
 class TestPinnedTraceBytes:
     """sha256 of the concatenated ``trace_to_jsonl`` output of fixed exact runs.
 
@@ -519,7 +592,17 @@ class TestPinnedTraceBytes:
     )
     def test_sample(self, sample, steps, digest):
         config = ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=steps)
-        assert _sha256([trace_to_jsonl(run(config, sample))]) == digest
+        trace = run(config, sample)
+        assert _sha256([_round_trip(trace)]) == digest
+
+    def test_cubic(self):
+        # Odd parts of the denominators grow about threefold per step, so
+        # the window update aligns large odd parts, not just powers of two.
+        config = ProblemConfig(a=F(0), b=F(1), epsilon=F(1), max_steps=7)
+        trace = run(config, parse("x^3 - 1/3"))
+        assert _sha256([_round_trip(trace)]) == (
+            "40a7d3570a814eeb04aedaadc010c50eb3a1184f6ae235a3f7e47ee18a6b99e5"
+        )
 
     def test_corpus(self, corpus_bundle):
         # make_corpus(20260819, 100, steps=30) at epsilon 1/3, 30 steps; for
@@ -528,7 +611,7 @@ class TestPinnedTraceBytes:
         texts = []
         for interpolated, classical in zip(corpus_bundle.interpolated, corpus_bundle.classical):
             assert len(interpolated.steps) == len(classical.steps) == 30
-            texts += [trace_to_jsonl(interpolated), trace_to_jsonl(classical)]
+            texts += [_round_trip(interpolated), _round_trip(classical)]
         assert _sha256(texts) == (
             "9706206d7e6c21bc30d23cbc7f521df16b6cca8246218ef31d6212ab888d8f0d"
         )

@@ -1,15 +1,17 @@
 """Expression language: parsing, evaluation, printing."""
 
+import itertools
 import math
 import pickle
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interpbisect import numerics
-from interpbisect.funcdsl import _compile_grid
+from interpbisect.funcdsl import _compile_exact, _compile_grid
 from interpbisect import (
     Abs,
     Add,
@@ -269,6 +271,10 @@ class TestPrinter:
             (Add(X, Add(X, X)), "x+(x+x)"),
             (Div(C(3), Pow(C(4), 2)), "3/4^2"),
             (Mul(C(1, 2), X), "1/2*x"),
+            (Div(Mul(X, C(3)), C(4)), "(x*3)/4"),
+            (Div(Neg(C(3)), C(4)), "(-3)/4"),
+            (Div(Mul(X, C(3)), Pow(C(4), 2)), "x*3/4^2"),
+            (Div(Neg(X), C(4)), "-x/4"),
         ],
     )
     def test_parenthesization(self, tree, text):
@@ -355,10 +361,20 @@ class TestSemantics:
 # Compiled evaluators against a plain tree walk (tests/reference.py)
 
 _big_ints = st.integers(min_value=1, max_value=2**2500)
+# u / (2^k q) with q odd, like the iteration's midpoints: random big
+# denominators almost never carry more than a few twos.
+_dyadic_points = st.builds(
+    lambda u, k, q, neg: F(-u if neg else u, q << k),
+    st.integers(min_value=0, max_value=2**1200),
+    st.sampled_from([0, 1, 63, 64, 65, 200, 1000]),
+    st.integers(min_value=0, max_value=2**64).map(lambda v: 2 * v + 1),
+    st.booleans(),
+)
 _exact_points = st.one_of(
     st.just(F(0)),
     st.fractions(min_value=-20, max_value=20, max_denominator=40),
     st.builds(lambda n, d, neg: F(-n if neg else n, d), _big_ints, _big_ints, st.booleans()),
+    _dyadic_points,
 )
 _float_points = st.one_of(
     st.just(0.0),
@@ -404,6 +420,31 @@ def _needs_point_loop(expr) -> bool:
 
 
 class TestCompiledEvaluators:
+    @pytest.mark.parametrize("k", [0, 62, 63, 1000])
+    def test_two_x_terms(self, k):
+        # x against x^2/3 below and above 3, with 2^(k+2) in the smaller
+        # point's denominator: past 64 twos both operands carry many, and
+        # sums and comparisons align them by shifts.
+        ops = {Add: add, Sub: sub, Min: min, Max: max}
+        for x in (F(3, 4 << k), F((4 << k) - 1, 1 << k)):
+            terms = {X: x, Div(Pow(X, 2), C(3)): x * x / 3}
+            for (left, u), (right, v) in itertools.permutations(terms.items()):
+                for node, op in ops.items():
+                    assert eval_exact(node(left, right), x) == op(u, v)
+
+    @pytest.mark.parametrize("node", [Min, Max])
+    @pytest.mark.parametrize("k", [0, 64, 65, 1000])
+    def test_tie_keeps_the_left_pair(self, node, k):
+        # x + x and 2x are equal but come out in different terms; at a tie
+        # min and max return the left operand's pair, whichever it is.
+        sum_, double = Add(X, X), Mul(C(2), X)
+        n, d = 3, 5 << k
+        sum_pair = _compile_exact(sum_, ())[0](n, d)
+        double_pair = _compile_exact(double, ())[0](n, d)
+        assert sum_pair != double_pair
+        assert _compile_exact(node(sum_, double), ())[0](n, d) == sum_pair
+        assert _compile_exact(node(double, sum_), ())[0](n, d) == double_pair
+
     @given(eval_trees, _exact_points)
     @settings(max_examples=300, deadline=None)
     def test_exact_equals_walk_in_lowest_terms(self, expr, x):

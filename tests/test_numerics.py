@@ -17,7 +17,7 @@ from interpbisect import (
     interpolation_weight,
     parse_rational,
 )
-from interpbisect.numerics import reduced, scalar_text
+from interpbisect.numerics import _aligned, reduced, scalar_text
 
 
 # CPython's cap on int <-> decimal text conversion (4,300 digits by
@@ -233,6 +233,44 @@ class TestReduced:
         num = sign * (m << j) * shared
         den = (odd * shared) << k
         _same_terms(reduced(num, den), Fraction(num, den))
+
+
+# Powers of two in a denominator: both sides of the 64-bit cut-over, and
+# the thousands of bits a deep exact run reaches.
+ALIGN_TWOS = st.sampled_from([0, 1, 63, 64, 65, 1000, 8000])
+
+
+class TestAligned:
+    """``_aligned`` puts two pairs over one denominator, shifting the twos."""
+
+    @given(
+        st.integers(-(1 << 2100), 1 << 2100), _odd(2000), ALIGN_TWOS,
+        st.integers(-(1 << 2100), 1 << 2100), _odd(2000), ALIGN_TWOS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sum_and_order_match_fraction(self, an, p, i, bn, q, j):
+        ad, bd = p << i, q << j
+        x, y, u, v = _aligned(an, ad, bn, bd)
+        assert u * v > 0
+        assert Fraction(x, u * v) == Fraction(an, ad)
+        assert Fraction(y, u * v) == Fraction(bn, bd)
+        assert Fraction(x + y, u * v) == Fraction(an, ad) + Fraction(bn, bd)
+        assert Fraction(x - y, u * v) == Fraction(an, ad) - Fraction(bn, bd)
+        assert (x < y) == (Fraction(an, ad) < Fraction(bn, bd))
+        assert (y < x) == (Fraction(bn, bd) < Fraction(an, ad))
+
+    @given(st.integers(-(1 << 2100), 1 << 2100), _odd(2000), ALIGN_TWOS, ALIGN_TWOS, _odd(60))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_values_align_equal(self, n, p, i, extra, m):
+        # n/(p 2^i) written a second way, with m 2^extra in both terms.
+        x, y, _, _ = _aligned(n, p << i, n * m << extra, (p * m) << (i + extra))
+        assert x == y
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (64, 64), (65, 8000), (8000, 65), (1000, 1000)])
+    def test_denominator_keeps_one_power_of_two(self, i, j):
+        # 2^max(i, j) times the odd parts, not 2^(i + j).
+        _, _, u, v = _aligned(-7, 3 << i, 0, 5 << j)
+        assert u * v == 15 << max(i, j)
 
 
 def _general_parse(text):

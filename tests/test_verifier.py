@@ -238,6 +238,15 @@ class TestGridOracle:
         assert eval_exact(sample_fn, cert.x) == cert.f_x
         assert abs(cert.f_x) < F(1, 3)
 
+    def test_column_scan_does_not_compile_the_exact_evaluator(self):
+        # The certificate's f_x comes from the integer column, so a freshly
+        # parsed tree is compiled once, for the grid, not again for eval_exact.
+        f = parse(SAMPLE_TEXT)
+        cert = grid_oracle(f, F(-1), F(1), F(1, 3), 1000)
+        assert (cert.index, cert.f_x) == (38, F(-79, 250))
+        assert type(cert.f_x) is Fraction
+        assert not hasattr(f, "_exact_code")
+
     def test_endpoint_can_be_the_hit(self):
         cert = grid_oracle(parse("x"), F(-1), F(1), F(2), 1)
         assert (cert.index, cert.x) == (0, F(-1))
