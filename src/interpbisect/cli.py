@@ -24,6 +24,7 @@ from .core import (
     EXACT,
     ProblemConfig,
     SignPreconditionViolated,
+    StepRecord,
     Trace,
     TraceFormatError,
     WeightMode,
@@ -69,7 +70,7 @@ class PlotError(ValueError):
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """What to draw and how; everything has a deterministic default.
+    """What to draw; the figure's size and style are fixed.
 
     Ranges are floats because rendering is presentation only: exact
     scalars convert at the last moment.  ``x_range``/``y_range`` of
@@ -82,15 +83,6 @@ class PlotSpec:
     x_range: Optional[Tuple[float, float]] = None
     y_range: Optional[Tuple[float, float]] = None
     samples: int = 512
-    width: int = 720
-    height: int = 480
-    margin: Tuple[int, int, int, int] = (28, 30, 46, 64)  # top right bottom left
-    curve_color: str = "#153a6b"
-    dot_color: str = "#1a1a1a"
-    square_color: str = "#8a1f1f"
-    epsilon_color: str = "#666666"
-    dot_radius: float = 3.0
-    square_half: float = 4.5
 
 
 def _px(v: float) -> str:
@@ -155,9 +147,10 @@ def render_trace_svg(spec: PlotSpec) -> str:
     if not (math.isfinite(y_lo) and math.isfinite(y_hi)) or y_lo >= y_hi:
         raise PlotError(f"degenerate y range [{y_lo}, {y_hi}]")
 
-    top, right, bottom, left = spec.margin
-    plot_w = spec.width - left - right
-    plot_h = spec.height - top - bottom
+    width, height = 720, 480
+    top, right, bottom, left = 28, 30, 46, 64
+    plot_w = width - left - right
+    plot_h = height - top - bottom
 
     def px(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -167,8 +160,8 @@ def render_trace_svg(spec: PlotSpec) -> str:
 
     parts: List[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
     )
     parts.append(f"<desc>{_escape(to_text(f))}</desc>")
     parts.append(
@@ -223,11 +216,11 @@ def render_trace_svg(spec: PlotSpec) -> str:
         ye = py(eps_f)
         parts.append(
             f'<line x1="{left}" y1="{_px(ye)}" x2="{left + plot_w}" y2="{_px(ye)}" '
-            f'stroke="{spec.epsilon_color}" stroke-width="1" stroke-dasharray="2,4"/>'
+            'stroke="#666666" stroke-width="1" stroke-dasharray="2,4"/>'
         )
         parts.append(
             f'<text x="{left + plot_w - 6}" y="{_px(ye - 5)}" font-size="11" '
-            f'text-anchor="end" fill="{spec.epsilon_color}">'
+            'text-anchor="end" fill="#666666">'
             f"ε = {_escape(backend.format(epsilon))}</text>"
         )
 
@@ -246,24 +239,24 @@ def render_trace_svg(spec: PlotSpec) -> str:
     if segments:
         path = " ".join(" ".join(seg) for seg in segments)
         parts.append(
-            f'<path d="{path}" fill="none" stroke="{spec.curve_color}" '
+            f'<path d="{path}" fill="none" stroke="#153a6b" '
             'stroke-width="1.5" clip-path="url(#plot-area)"/>'
         )
 
     for n, c_n, f_c_n in dots:
         parts.append(
             f'<circle class="midpoint-dot" cx="{_px(px(float(c_n)))}" '
-            f'cy="{_px(py(float(f_c_n)))}" r="{spec.dot_radius}" '
-            f'fill="{spec.dot_color}" data-step="{n}" '
+            f'cy="{_px(py(float(f_c_n)))}" r="3.0" '
+            f'fill="#1a1a1a" data-step="{n}" '
             f'data-x="{_escape(backend.format(c_n))}" '
             f'data-y="{_escape(backend.format(f_c_n))}"/>'
         )
 
-    half = spec.square_half
+    half = 4.5
     parts.append(
         f'<rect class="limit-marker" x="{_px(px(float(limit)) - half)}" '
         f'y="{_px(py(float(f_limit)) - half)}" width="{2 * half}" height="{2 * half}" '
-        f'fill="none" stroke="{spec.square_color}" stroke-width="1.5" '
+        'fill="none" stroke="#8a1f1f" stroke-width="1.5" '
         f'data-x="{_escape(backend.format(limit))}" '
         f'data-y="{_escape(backend.format(f_limit))}"/>'
     )
@@ -400,11 +393,16 @@ def _make_config(args: argparse.Namespace, mode: WeightMode, stop_early: bool) -
     )
 
 
-def _first_witness_step(trace: Trace) -> Optional[int]:
+def _first_witness(trace: Trace) -> Optional[StepRecord]:
+    """The earliest recorded step with |f(c_n)| < epsilon, or None.
+
+    Under EXACT a record's f_c_n is exactly f(c_n), so this is the
+    verifier's midpoint witness, read off the run instead of re-evaluated.
+    """
     eps = trace.config.epsilon
     for rec in trace.steps:
         if abs(rec.f_c_n) < eps:
-            return rec.n
+            return rec
     return None
 
 
@@ -424,26 +422,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     approx = f" ({float(estimate):.9f})" if backend is EXACT else ""
     print(f"limit estimate: {backend.format(estimate)}{approx}")
     print(f"limit error bound: {backend.format(trace.limit_error_bound)}")
+    witness = _first_witness(trace)
     if backend is EXACT:
-        cert = extract_witness(trace, f)
-        if cert.kind.value == "midpoint":
+        if witness is not None:
             print(
-                f"witness: |f(c_{cert.index})| < epsilon at "
-                f"c_{cert.index} = {backend.format(cert.x)}, "
-                f"f = {backend.format(cert.f_x)}"
+                f"witness: |f(c_{witness.n})| < epsilon at "
+                f"c_{witness.n} = {backend.format(witness.c_n)}, "
+                f"f = {backend.format(witness.f_c_n)}"
             )
         else:
+            # The limit estimate is the last midpoint, f_c_n its value.
+            f_x = trace.steps[-1].f_c_n
             print(
-                f"no midpoint witness within {len(trace.steps)} steps; "
-                f"limit candidate x = {backend.format(cert.x)} "
-                f"with f(x) = {backend.format(cert.f_x)} ({float(cert.f_x):.9f})"
+                f"no midpoint witness within {count} steps; "
+                f"limit candidate x = {backend.format(estimate)} "
+                f"with f(x) = {backend.format(f_x)} ({float(f_x):.9f})"
             )
+    elif witness is None:
+        print(f"no recorded |f(c_n)| < epsilon within {count} steps")
     else:
-        j = _first_witness_step(trace)
-        if j is None:
-            print(f"no recorded |f(c_n)| < epsilon within {len(trace.steps)} steps")
-        else:
-            print(f"first recorded |f(c_n)| < epsilon at step {j}")
+        print(f"first recorded |f(c_n)| < epsilon at step {witness.n}")
     return EXIT_OK
 
 
@@ -471,11 +469,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{float(rec_c.c_n):>18.9f} {float(rec_c.f_c_n):>18.9f}"
         )
     for label, trace in (("interpolated", trace_i), ("classical", trace_c)):
-        j = _first_witness_step(trace)
-        if j is None:
+        witness = _first_witness(trace)
+        if witness is None:
             print(f"{label}: no |f(c_n)| < epsilon within {len(trace.steps)} steps")
         else:
-            print(f"{label}: first |f(c_n)| < epsilon at step {j}")
+            print(f"{label}: first |f(c_n)| < epsilon at step {witness.n}")
 
     if args.csv is not None:
         lines = ["n,c_interp,f_interp,d_interp,c_classical,f_classical"]

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .funcdsl import FunctionExpr, eval_exact, eval_float
-from .numerics import _FEW_TWOS, _aligned, _DenTexts, _read_plain
+from .numerics import _aligned, _DenTexts, _read_plain
 from .numerics import format_rational, parse_rational, reduced, scalar_text
 
 __all__ = [
@@ -153,40 +153,28 @@ class ExactBackend:
         """``num/den`` text, the denominator always present."""
         return format_rational(value)
 
-    # The trace format stores exact values as ``num/den`` strings.
-    to_json = format
-
-    def from_json(self, value: Union[str, int, float]) -> Fraction:
-        """Inverse of :meth:`to_json`."""
-        if not isinstance(value, str):
-            raise ValueError(
-                f"exact trace values must be 'num/den' strings, got {value!r}"
-            )
-        return parse_rational(value)
-
     def _trace_codec(self):
         """``(to_json, from_json)`` for one trace call.
 
-        Each converts every distinct denominator between int and text
-        once per call (see :mod:`interpbisect.numerics`); the text and
-        the errors are those of :meth:`to_json` and :meth:`from_json`.
+        The trace format stores exact values as :meth:`format`'s
+        ``num/den`` strings.  Both converters turn each distinct
+        denominator between int and text once per call (see
+        :mod:`interpbisect.numerics`).
         """
         dens = {}
 
         def from_json(value: Union[str, int, float]) -> Fraction:
-            if isinstance(value, str):
-                q = _read_plain(value, dens)
-                if q is not None:
-                    return q
-            return self.from_json(value)
+            if not isinstance(value, str):
+                raise ValueError(
+                    f"exact trace values must be 'num/den' strings, got {value!r}"
+                )
+            q = _read_plain(value, dens)
+            return parse_rational(value) if q is None else q
 
         return _DenTexts().format, from_json
 
     def midpoint(self, a: Fraction, b: Fraction) -> Fraction:
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        if (ad | bd) & _FEW_TWOS:
-            return reduced(an * bd + bn * ad, 2 * ad * bd)
-        x, y, u, v = _aligned(an, ad, bn, bd)
+        x, y, u, v = _aligned(a.numerator, a.denominator, b.numerator, b.denominator)
         return reduced(x + y, 2 * u * v)
 
     def interpolation_weight(self, f_c: Fraction, epsilon: Fraction) -> Fraction:
@@ -211,16 +199,9 @@ class ExactBackend:
         # shift = sn / sd, unreduced; each endpoint is reduced once.
         sn = d.numerator * width.numerator
         sd = (d.denominator * width.denominator) << state.n
-        cn, cd, bn, bd = c.numerator, c.denominator, b.numerator, b.denominator
-        if (cd | bd | sd) & _FEW_TWOS:
-            return IterationState(
-                state.n + 1,
-                reduced(cn * sd - sn * cd, cd * sd),
-                reduced(bn * sd - sn * bd, bd * sd),
-            )
-        x, y, u, v = _aligned(cn, cd, sn, sd)
+        x, y, u, v = _aligned(c.numerator, c.denominator, sn, sd)
         a_next = reduced(x - y, u * v)
-        x, y, u, v = _aligned(bn, bd, sn, sd)
+        x, y, u, v = _aligned(b.numerator, b.denominator, sn, sd)
         return IterationState(state.n + 1, a_next, reduced(x - y, u * v))
 
 
@@ -248,18 +229,15 @@ class FloatBackend:
         """Shortest round-trip decimal text."""
         return repr(float(value))
 
-    def to_json(self, value: float) -> float:
-        return float(value)
-
-    def from_json(self, value: Union[str, int, float]) -> float:
-        """Inverse of :meth:`to_json`."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"float trace values must be numbers, got {value!r}")
-        return float(value)
-
     def _trace_codec(self):
-        """``(to_json, from_json)`` for one trace."""
-        return self.to_json, self.from_json
+        """``(to_json, from_json)`` for one trace: floats are JSON numbers."""
+
+        def from_json(value: Union[str, int, float]) -> float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"float trace values must be numbers, got {value!r}")
+            return float(value)
+
+        return float, from_json
 
     def midpoint(self, a: float, b: float) -> float:
         return (a + b) / 2

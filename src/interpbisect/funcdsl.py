@@ -37,7 +37,7 @@ from math import gcd, lcm
 from operator import add, mul, neg, sub, truediv
 from typing import Iterator, Tuple, Union
 
-from .numerics import _FEW_TWOS, _aligned, _coprime, reduced, scalar_text
+from .numerics import _aligned, _coprime, reduced, scalar_text
 
 __all__ = [
     "Var",
@@ -196,7 +196,8 @@ class EvalError(ArithmeticError):
 # ``numerics._aligned``: at the iteration's midpoints x = n/2^E q, so a
 # degree-k term carries about 2^(kE), and aligning by shifts keeps a sum
 # of a quartic and a square over 2^(4E) where cross-multiplying would
-# give 2^(6E).  Operands with at most 64 twos cross-multiply as before.
+# give 2^(6E).  _aligned chooses its own path: operands with at most 64
+# twos it cross-multiplies.
 
 
 def _raise_at(path: Tuple[str, ...]):
@@ -326,16 +327,12 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
             def fn(n, d):
                 u = a, b = f(n, d)
                 v = c, e = g(n, d)
-                if (b | e) & _FEW_TWOS:
-                    return v if c * b < a * e else u
                 x, y, _, _ = _aligned(a, b, c, e)
                 return v if y < x else u
         elif isinstance(expr, Max):
             def fn(n, d):
                 u = a, b = f(n, d)
                 v = c, e = g(n, d)
-                if (b | e) & _FEW_TWOS:
-                    return v if a * e < c * b else u
                 x, y, _, _ = _aligned(a, b, c, e)
                 return v if x < y else u
         elif cf is not None or cg is not None:
@@ -359,16 +356,12 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                 def fn(n, d):
                     a, b = f(n, d)
                     c, e = g(n, d)
-                    if (b | e) & _FEW_TWOS:
-                        return a * e + c * b, b * e
                     x, y, u, v = _aligned(a, b, c, e)
                     return x + y, u * v
             elif isinstance(expr, Sub):
                 def fn(n, d):
                     a, b = f(n, d)
                     c, e = g(n, d)
-                    if (b | e) & _FEW_TWOS:
-                        return a * e - c * b, b * e
                     x, y, u, v = _aligned(a, b, c, e)
                     return x - y, u * v
             else:

@@ -15,9 +15,10 @@ evaluator's results, and the exact backend's weight and window updates.
 For the same reason :func:`_aligned` puts two such pairs over one
 denominator by shifting out the difference in their powers of two and
 multiplying by the odd parts only, where cross-multiplying would
-multiply the powers of two together; the exact midpoint, the window
-update and the evaluator's sums and comparisons of two x-dependent
-subtrees go through it.
+multiply the powers of two together.  It picks its own path: pairs with
+few twos it cross-multiplies.  The exact midpoint, the window update and
+the evaluator's sums and comparisons of two x-dependent subtrees go
+through it.
 
 Text forms are fixed because they appear verbatim in the JSONL trace
 format: rationals render as ``num/den`` (always with the denominator,
@@ -72,9 +73,9 @@ _coprime = _coprime_maker()
 # than the full gcd it saves, so they go straight to Fraction.  Measured on
 # Python 3.11.7 (2-vCPU VM), Fraction(num, den) against the split: 0.75-0.98
 # vs 1.3-1.6 us at 20-60 bits, 2.5 vs 1.6 us at 300 bits, 18 vs 2.6 us at
-# 2,000 bits, 120 vs 9.2 us at 7,500 bits.  The callers of _aligned()
-# use the same test: a sum of two such pairs cost 0.26 us cross-multiplied
-# against 0.44 us aligned at 30 twos, and 17 vs 1.7 us at 2,000.
+# 2,000 bits, 120 vs 9.2 us at 7,500 bits.  _aligned() uses the same
+# test: a sum of two such pairs cost 0.26 us cross-multiplied against
+# 0.44 us aligned at 30 twos, and 17 vs 1.7 us at 2,000.
 _FEW_TWOS = (1 << 65) - 1
 
 
@@ -104,13 +105,15 @@ def _aligned(an: int, ad: int, bn: int, bd: int):
     """``(x, y, u, v)`` with an/ad = x/(u v) and bn/bd = y/(u v), for ad, bd > 0.
 
     The sum of the two pairs is (x + y, u * v), and an/ad < bn/bd iff
-    x < y, so a comparison skips the product.  With ad = 2^i p and
-    bd = 2^j q (p, q odd) the common denominator is 2^max(i, j) p q:
-    the smaller power of two is shifted up to the larger one and only
-    the odd parts multiply.  Callers cross-multiply instead when
-    ``(ad | bd) & _FEW_TWOS`` (either side has at most 64 twos): there
-    the shifts save less than the split costs.
+    x < y, so a comparison skips the product.  When either side has at
+    most 64 twos (``(ad | bd) & _FEW_TWOS``) this cross-multiplies,
+    ``(an bd, bn ad, ad, bd)``: there the shifts save less than the split
+    costs.  Otherwise, with ad = 2^i p and bd = 2^j q (p, q odd), the
+    common denominator is 2^max(i, j) p q: the smaller power of two is
+    shifted up to the larger one and only the odd parts multiply.
     """
+    if (ad | bd) & _FEW_TWOS:
+        return an * bd, bn * ad, ad, bd
     i = (ad & -ad).bit_length() - 1
     j = (bd & -bd).bit_length() - 1
     if i <= j:

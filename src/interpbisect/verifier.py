@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
-from .core import EXACT, Trace, _require_int, cauchy_bound
+from .core import EXACT, StepRecord, Trace, _require_int, cauchy_bound
 from .funcdsl import FunctionExpr, _compile_grid, eval_exact
 from .numerics import format_rational, scalar_text
 
@@ -142,6 +142,24 @@ def _require_exact(trace: Trace) -> None:
         )
 
 
+def _earliest_witness(
+    trace: Trace, f: FunctionExpr
+) -> Iterator[Tuple[StepRecord, Optional[WitnessFound]]]:
+    """Yield each step with the earliest midpoint witness up to it, or None.
+
+    f(c_n) is evaluated one step at a time, and no longer once a witness
+    is found, so a caller that evaluates more per step keeps step order.
+    """
+    epsilon = trace.config.epsilon
+    witness: Optional[WitnessFound] = None
+    for rec in trace.steps:
+        if witness is None:
+            f_c = eval_exact(f, rec.c_n)
+            if abs(f_c) < epsilon:
+                witness = WitnessFound(j=rec.n, value=f_c)
+        yield rec, witness
+
+
 def check_claim(trace: Trace, f: FunctionExpr) -> List[ClaimOutcome]:
     """Classify every step of an exact trace against the disjunction.
 
@@ -154,14 +172,8 @@ def check_claim(trace: Trace, f: FunctionExpr) -> List[ClaimOutcome]:
         BackendNotExact: for float traces.
     """
     _require_exact(trace)
-    epsilon = Fraction(trace.config.epsilon)
     outcomes: List[ClaimOutcome] = []
-    witness: Optional[WitnessFound] = None
-    for rec in trace.steps:
-        if witness is None:
-            f_c = eval_exact(f, rec.c_n)
-            if abs(f_c) < epsilon:
-                witness = WitnessFound(j=rec.n, value=f_c)
+    for rec, witness in _earliest_witness(trace, f):
         if witness is not None:
             outcomes.append(ClaimOutcome(m=rec.n, case=witness))
             continue
@@ -191,14 +203,12 @@ def extract_witness(trace: Trace, f: FunctionExpr) -> WitnessCertificate:
         BackendNotExact: for float traces.
     """
     _require_exact(trace)
-    epsilon = Fraction(trace.config.epsilon)
-    for rec in trace.steps:
-        f_c = eval_exact(f, rec.c_n)
-        if abs(f_c) < epsilon:
+    for rec, witness in _earliest_witness(trace, f):
+        if witness is not None:
             return WitnessCertificate(
-                kind=WitnessKind.MIDPOINT, x=rec.c_n, f_x=f_c, index=rec.n
+                kind=WitnessKind.MIDPOINT, x=rec.c_n, f_x=witness.value, index=witness.j
             )
-    x = Fraction(trace.limit_estimate)
+    x = trace.limit_estimate
     return WitnessCertificate(kind=WitnessKind.LIMIT, x=x, f_x=eval_exact(f, x))
 
 
@@ -219,7 +229,7 @@ def continuity_budget_check(trace: Trace, delta: Fraction, m: int) -> Continuity
         raise ValueError(
             f"m = {m} is not a recorded step (trace has {len(trace.steps)})"
         )
-    width = Fraction(trace.config.original_width)
+    width = trace.config.original_width
     half_delta = delta / 2
     return ContinuityBudget(
         delta=delta,

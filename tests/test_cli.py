@@ -1,7 +1,9 @@
 """Command line contract: flags, exit codes, files written, SVG content."""
 
+import hashlib
 import json
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -203,6 +205,128 @@ class TestRun:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
+
+
+class TestPinnedRunSummary:
+    """``run``'s stdout, byte for byte, as recorded before the witness lines
+    were read off the run's own records instead of a second evaluation."""
+
+    CASES = {
+        "exact-witness": (
+            ["-f", SAMPLE_TEXT, "--a=-1", "--b=1", "-e", "1/3", "--max-steps", "6"],
+            "function: min((1+6*x^2)/7, 8+9*x)\n"
+            "wrote 6 steps to t.jsonl\n"
+            "limit estimate: -201/224 (-0.897321429)\n"
+            "limit error bound: 1/16\n"
+            "witness: |f(c_1)| < epsilon at c_1 = 0/1, f = 1/7\n",
+        ),
+        "exact-no-witness": (
+            ["-f", "x", "--a", "-1", "--b", "2", "-e", "1/1000000", "--max-steps", "5"],
+            "function: x\n"
+            "wrote 5 steps to t.jsonl\n"
+            "limit estimate: 1/32 (0.031250000)\n"
+            "limit error bound: 3/16\n"
+            "no midpoint witness within 5 steps; limit candidate x = 1/32 "
+            "with f(x) = 1/32 (0.031250000)\n",
+        ),
+        "float-witness": (
+            ["-f", SAMPLE_TEXT, "--a=-1", "--b=1", "-e", "1/3", "--max-steps", "6",
+             "--backend", "float"],
+            "function: min((1+6*x^2)/7, 8+9*x)\n"
+            "wrote 6 steps to t.jsonl\n"
+            "limit estimate: -0.8973214285714286\n"
+            "limit error bound: 0.0625\n"
+            "first recorded |f(c_n)| < epsilon at step 1\n",
+        ),
+        "float-no-witness": (
+            ["-f", "x", "--a", "-1", "--b", "2", "-e", "1/1000000", "--max-steps", "5",
+             "--backend", "float"],
+            "function: x\n"
+            "wrote 5 steps to t.jsonl\n"
+            "limit estimate: 0.03125\n"
+            "limit error bound: 0.1875\n"
+            "no recorded |f(c_n)| < epsilon within 5 steps\n",
+        ),
+        "exact-stop-early": (
+            ["-f", SAMPLE_TEXT, "--a=-1", "--b=1", "-e", "1/10", "--stop-early"],
+            "function: min((1+6*x^2)/7, 8+9*x)\n"
+            "wrote 7 steps to t.jsonl\n"
+            "stopped early at step 7\n"
+            "limit estimate: -57/64 (-0.890625000)\n"
+            "limit error bound: 1/32\n"
+            "witness: |f(c_7)| < epsilon at c_7 = -57/64, f = -1/64\n",
+        ),
+        "float-stop-early": (
+            ["-f", SAMPLE_TEXT, "--a=-1", "--b=1", "-e", "1/10", "--stop-early",
+             "--backend", "float"],
+            "function: min((1+6*x^2)/7, 8+9*x)\n"
+            "wrote 7 steps to t.jsonl\n"
+            "stopped early at step 7\n"
+            "limit estimate: -0.890625\n"
+            "limit error bound: 0.03125\n"
+            "first recorded |f(c_n)| < epsilon at step 7\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_summary(self, case, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        flags, expected = self.CASES[case]
+        code, stdout, _ = run_cli(["run", *flags, "--out", "t.jsonl"], capsys)
+        assert code == EXIT_OK
+        assert stdout == expected
+
+    def test_limit_candidate_past_640_digits(self, tmp_path, capsys, monkeypatch):
+        # f at the limit candidate 2045/2048 has about 2,300 digits on each
+        # side of the slash, so under a 640-digit text limit it prints
+        # through Decimal.
+        monkeypatch.chdir(tmp_path)
+        code, stdout, _ = run_cli(
+            ["run", "-f", "x^700-1/2", "--a", "0", "--b", "2", "-e", "1/1000000000",
+             "--max-steps", "12", "--out", "t.jsonl"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        lines = stdout.splitlines()
+        assert lines[:4] == [
+            "function: x^700-1/2",
+            "wrote 12 steps to t.jsonl",
+            "limit estimate: 2045/2048 (0.998535156)",
+            "limit error bound: 1/1024",
+        ]
+        assert lines[4].startswith(
+            "no midpoint witness within 12 steps; limit candidate x = 2045/2048 "
+            "with f(x) = -1208009342270284650240942570068260863769984862622565802173"
+        )
+        assert lines[4].endswith("79868342501376 (-0.141613182)")
+        assert len(stdout) == 4845
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "030d68345338a438739d67afba432f0fdb5e69e2d0ec376c1bb21a667a29d95d"
+        )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_session(command):
+    """``(argv, output)`` of the README code block that starts ``$ interpbisect <command>``."""
+    for block in re.findall(r"^```\w*\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S):
+        first, _, output = block.partition("\n")
+        if first.startswith(f"$ interpbisect {command} "):
+            return shlex.split(first)[2:], output
+    raise AssertionError(f"README has no {command!r} example")
+
+
+class TestReadmeExamples:
+    """The README's ``run`` and ``compare`` sessions are the real output."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_session(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv, output = _readme_session(command)
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert stdout == output
 
 
 class TestVerify:

@@ -160,15 +160,22 @@ class TestBackends:
         assert float(FLOAT64.format(1 / 3)) == 1 / 3
 
     def test_json_round_trip(self):
-        q = Fraction(-7, 12)
-        assert EXACT.from_json(EXACT.to_json(q)) == q
-        assert FLOAT64.from_json(FLOAT64.to_json(0.3)) == 0.3
+        for backend, value, text in ((EXACT, Fraction(-7, 12), "-7/12"), (FLOAT64, 0.3, 0.3)):
+            to_json, from_json = backend._trace_codec()
+            assert to_json(value) == text
+            assert from_json(to_json(value)) == value
 
     def test_json_rejects_wrong_shapes(self):
-        with pytest.raises(ValueError):
-            EXACT.from_json(0.5)
-        with pytest.raises(ValueError):
-            FLOAT64.from_json("1/2")
+        for backend, value, message in (
+            (EXACT, 0.5, "exact trace values must be 'num/den' strings, got 0.5"),
+            (EXACT, 2, "exact trace values must be 'num/den' strings, got 2"),
+            (EXACT, "1/0", "not a rational number: '1/0'"),
+            (FLOAT64, "1/2", "float trace values must be numbers, got '1/2'"),
+            (FLOAT64, True, "float trace values must be numbers, got True"),
+        ):
+            _, from_json = backend._trace_codec()
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                from_json(value)
 
 
 def _bits(max_bits):
@@ -266,11 +273,15 @@ class TestAligned:
         x, y, _, _ = _aligned(n, p << i, n * m << extra, (p * m) << (i + extra))
         assert x == y
 
-    @pytest.mark.parametrize("i,j", [(0, 0), (64, 64), (65, 8000), (8000, 65), (1000, 1000)])
+    @pytest.mark.parametrize(
+        "i,j", [(0, 0), (64, 64), (64, 8000), (65, 64), (65, 65), (65, 8000), (8000, 65), (1000, 1000)]
+    )
     def test_denominator_keeps_one_power_of_two(self, i, j):
-        # 2^max(i, j) times the odd parts, not 2^(i + j).
+        # Past 64 twos on both sides: 2^max(i, j) times the odd parts, not
+        # 2^(i + j).  At 64 or fewer on either side the pairs
+        # cross-multiply, and the denominator is ad * bd.
         _, _, u, v = _aligned(-7, 3 << i, 0, 5 << j)
-        assert u * v == 15 << max(i, j)
+        assert u * v == (15 << max(i, j) if min(i, j) > 64 else (3 << i) * (5 << j))
 
 
 def _general_parse(text):

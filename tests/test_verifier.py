@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from interpbisect import (
     FLOAT64,
     BackendNotExact,
+    ClaimOutcome,
     EvalError,
     InvalidTolerance,
     ProblemConfig,
@@ -149,6 +150,47 @@ class TestCheckClaim:
     def test_refuses_float_traces(self, sample_fn, float_trace):
         with pytest.raises(BackendNotExact):
             check_claim(float_trace, sample_fn)
+
+
+class TestPinnedEvaluationOrder:
+    """Which point's error surfaces first, on forged traces.
+
+    f = 1/x + 1/(x - 1/2) divides by zero at a_1 = 0 (in Add[0]) and at
+    c_2 = 1/2 (in Add[1]).  check_claim evaluates step by step, c_n then
+    a_n and b_n, so it fails at a_1; extract_witness evaluates midpoints
+    only, so it fails at c_2.  A midpoint witness at step 1 (c_1 = 1/4,
+    where f = 0) stops all later evaluation.
+    """
+
+    F_TEXT = "1/x + 1/(x-1/2)"
+
+    def _forged(self, c_1):
+        config = ProblemConfig(a=F(0), b=F(1), epsilon=F(1, 100))
+        return _hand_trace(config, [
+            StepRecord(1, F(0), F(1), c_1, F(0), F(1, 2)),
+            StepRecord(2, F(1, 4), F(3, 4), F(1, 2), F(0), F(1, 2)),
+        ])
+
+    def test_check_claim_fails_at_the_earlier_endpoint(self):
+        with pytest.raises(EvalError) as info:
+            check_claim(self._forged(F(1, 3)), parse(self.F_TEXT))
+        assert (info.value.x, info.value.path) == (F(0), ("Add[0]", "Div"))
+        assert str(info.value) == "division by zero at x = 0 in node Add[0]/Div"
+
+    def test_extract_witness_fails_at_the_later_midpoint(self):
+        with pytest.raises(EvalError) as info:
+            extract_witness(self._forged(F(1, 3)), parse(self.F_TEXT))
+        assert (info.value.x, info.value.path) == (F(1, 2), ("Add[1]", "Div"))
+
+    def test_a_witness_stops_evaluation(self):
+        trace = self._forged(F(1, 4))
+        f = parse(self.F_TEXT)
+        assert check_claim(trace, f) == [
+            ClaimOutcome(m=1, case=WitnessFound(j=1, value=F(0))),
+            ClaimOutcome(m=2, case=WitnessFound(j=1, value=F(0))),
+        ]
+        cert = extract_witness(trace, f)
+        assert (cert.kind, cert.x, cert.f_x, cert.index) == (WitnessKind.MIDPOINT, F(1, 4), F(0), 1)
 
 
 class TestExtractWitness:
