@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 on success, 2 for usage errors
 (bad flags, unparsable functions, malformed trace files, float traces
-handed to the verifier), 3 when the endpoint signs refuse a run, and 4
+handed to the verifier, values beyond the float range where floats are
+asked for), 3 when the endpoint signs refuse a run, and 4
 when verification finds a claim violation.
 """
 
@@ -37,9 +38,10 @@ from .numerics import parse_rational
 from .verifier import (
     BackendNotExact,
     Violation,
+    WitnessFound,
+    _witness_certificate,
     check_claim,
     continuity_budget_check,
-    extract_witness,
     report_to_json,
 )
 
@@ -406,6 +408,14 @@ def _first_witness(trace: Trace) -> Optional[StepRecord]:
     return None
 
 
+def _approx(value) -> str:
+    """``value`` to 9 decimals, or ``inf``/``-inf`` outside the float range."""
+    try:
+        return f"{float(value):.9f}"
+    except OverflowError:
+        return "inf" if value > 0 else "-inf"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     f = parse(args.function)
     config = _make_config(args, WeightMode(args.mode), args.stop_early)
@@ -419,7 +429,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if trace.stopped_early_at is not None:
         print(f"stopped early at step {trace.stopped_early_at}")
     estimate = trace.limit_estimate
-    approx = f" ({float(estimate):.9f})" if backend is EXACT else ""
+    approx = f" ({_approx(estimate)})" if backend is EXACT else ""
     print(f"limit estimate: {backend.format(estimate)}{approx}")
     print(f"limit error bound: {backend.format(trace.limit_error_bound)}")
     witness = _first_witness(trace)
@@ -436,7 +446,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(
                 f"no midpoint witness within {count} steps; "
                 f"limit candidate x = {backend.format(estimate)} "
-                f"with f(x) = {backend.format(f_x)} ({float(f_x):.9f})"
+                f"with f(x) = {backend.format(f_x)} ({_approx(f_x)})"
             )
     elif witness is None:
         print(f"no recorded |f(c_n)| < epsilon within {count} steps")
@@ -465,8 +475,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print("-" * len(header))
     for rec_i, rec_c in zip(trace_i.steps, trace_c.steps):
         print(
-            f"{rec_i.n:>4} {float(rec_i.c_n):>18.9f} {float(rec_i.f_c_n):>18.9f} "
-            f"{float(rec_c.c_n):>18.9f} {float(rec_c.f_c_n):>18.9f}"
+            f"{rec_i.n:>4} {_approx(rec_i.c_n):>18} {_approx(rec_i.f_c_n):>18} "
+            f"{_approx(rec_c.c_n):>18} {_approx(rec_c.f_c_n):>18}"
         )
     for label, trace in (("interpolated", trace_i), ("classical", trace_c)):
         witness = _first_witness(trace)
@@ -503,7 +513,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     trace = trace_from_jsonl(text)
     f = parse(args.function)
     outcomes = check_claim(trace, f)
-    witness = extract_witness(trace, f)
+    # The last outcome carries the earliest midpoint witness, if any.
+    last = outcomes[-1].case
+    witness = _witness_certificate(trace, f, last if isinstance(last, WitnessFound) else None)
     budget = None
     if args.delta is not None:
         budget = continuity_budget_check(trace, args.delta, args.m)
@@ -577,4 +589,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        # A float-backend input or constant, or a plot range, past the largest float.
+        print(f"float range: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,7 @@ arithmetic operators, integer powers, and the lattice/metric primitives
 where a division has a vanishing denominator, so min/max compositions of
 polynomials (the shapes the iteration is exercised on) evaluate totally.
 
-Concrete syntax, lowest precedence first::
+Concrete syntax, loosest-binding rule first::
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -37,7 +37,7 @@ from math import gcd, lcm
 from operator import add, mul, neg, sub, truediv
 from typing import Iterator, Tuple, Union
 
-from .numerics import _aligned, _coprime, reduced, scalar_text
+from .numerics import _aligned, reduced, scalar_text
 
 __all__ = [
     "Var",
@@ -185,13 +185,11 @@ class EvalError(ArithmeticError):
 # the same ``x`` as a left-to-right walk of the tree would.
 #
 # Exact closures map x, passed as its numerator and denominator, to a
-# value pair (num, den) with den > 0.  A node with one constant operand
-# keeps its result in lowest terms with the formulas of CPython's
-# ``Fraction._add``/``_mul``, whose gcds are against the constant's small
-# terms.  Sums, products and quotients of two x-dependent subtrees skip
-# the gcd, and eval_exact normalizes once at the end: with no gcd at all
-# where the compiler proved the pair already reduced, else through
-# ``numerics.reduced``, which splits off the power of two first.  Sums
+# value pair (num, den) with den > 0 that no closure reduces; eval_exact
+# reduces once, at the end, through ``numerics.reduced``, which splits
+# off the power of two first.  A node with one constant operand p/q
+# keeps the constant in its closure: ``*`` gives (a p, b q), ``+`` and
+# ``-`` give (a q +- p b, b q), and ``/ (p/q)`` is ``* (q/p)``.  Sums
 # and min/max comparisons of two x-dependent subtrees go through
 # ``numerics._aligned``: at the iteration's midpoints x = n/2^E q, so a
 # degree-k term carries about 2^(kE), and aligning by shifts keeps a sum
@@ -208,76 +206,25 @@ def _raise_at(path: Tuple[str, ...]):
 
 
 def _exact_const(num: int, den: int):
-    return (lambda n, d: (num, den)), (num, den), True
-
-
-def _exact_add_const(f, cn: int, cd: int):
-    """``f + cn/cd``, in lowest terms whenever f's results are."""
-    if cd == 1:
-        def add(n, d):
-            a, b = f(n, d)
-            return a + cn * b, b
-
-        return add
-
-    def add(n, d):
-        a, b = f(n, d)
-        g = gcd(b, cd)
-        if g == 1:
-            return a * cd + cn * b, b * cd
-        s = b // g
-        t = a * (cd // g) + cn * s
-        g2 = gcd(t, g)
-        if g2 == 1:
-            return t, s * cd
-        return t // g2, s * (cd // g2)
-
-    return add
-
-
-def _exact_mul_const(f, cn: int, cd: int):
-    """``f * cn/cd``, in lowest terms whenever f's results are."""
-    if cd == 1:
-        def mul(n, d):
-            a, b = f(n, d)
-            g = gcd(cn, b)
-            if g > 1:
-                return a * (cn // g), b // g
-            return a * cn, b
-
-        return mul
-
-    def mul(n, d):
-        a, b = f(n, d)
-        g = gcd(a, cd)
-        e = cd
-        if g > 1:
-            a //= g
-            e //= g
-        g = gcd(cn, b)
-        if g > 1:
-            return a * (cn // g), e * (b // g)
-        return a * cn, e * b
-
-    return mul
+    return (lambda n, d: (num, den)), (num, den)
 
 
 def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
-    """``(fn, const, lowest)`` for ``expr``.
+    """``(fn, const)`` for ``expr``.
 
     ``fn(xn, xd)`` returns the value at x = xn/xd as a pair (num, den)
-    with den > 0; ``const`` is that pair, in lowest terms, when ``expr``
-    has no x and evaluates without error, else None; ``lowest`` says
-    every pair fn returns for a reduced x is in lowest terms.
+    with den > 0, not necessarily in lowest terms; ``const`` is that
+    pair, in lowest terms, when ``expr`` has no x and evaluates without
+    error, else None.
     """
     if isinstance(expr, Var):
-        return (lambda n, d: (n, d)), None, True
+        return (lambda n, d: (n, d)), None
     if isinstance(expr, RationalConst):
         return _exact_const(expr.value.numerator, expr.value.denominator)
 
     name = type(expr).__name__
     if isinstance(expr, (Neg, Abs, Pow)):
-        f, const, lowest = _compile_exact(
+        f, const = _compile_exact(
             expr.base if isinstance(expr, Pow) else expr.operand, path + (name,)
         )
         children = (const,)
@@ -296,24 +243,16 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                 a, b = f(n, d)
                 return a**k, b**k
     elif isinstance(expr, (Add, Sub, Mul, Div, Min, Max)):
-        f, cf, rf = _compile_exact(expr.left, path + (f"{name}[0]",))
-        g, cg, rg = _compile_exact(expr.right, path + (f"{name}[1]",))
+        f, cf = _compile_exact(expr.left, path + (f"{name}[0]",))
+        g, cg = _compile_exact(expr.right, path + (f"{name}[1]",))
         children = (cf, cg)
-        lowest = rf and rg
-        if isinstance(expr, Div) and cg is not None:
-            if cg[0] == 0:
-                raise_ = _raise_at(path + ("Div",))
-
-                def fn(n, d):
-                    f(n, d)
-                    raise_(n, d)
-            else:
-                # u / (p/q) is u * (q/p), with the sign moved to the numerator.
-                sign = -1 if cg[0] < 0 else 1
-                fn = _exact_mul_const(f, sign * cg[1], sign * cg[0])
-        elif isinstance(expr, Div):
+        kind = type(expr)
+        if kind is Div and cg is not None and cg[0] != 0:
+            # u / (p/q) is u * (q/p), with the sign moved to the numerator.
+            sign = -1 if cg[0] < 0 else 1
+            kind, cg = Mul, (sign * cg[1], sign * cg[0])
+        if kind is Div:
             raise_ = _raise_at(path + ("Div",))
-            lowest = False
 
             def fn(n, d):
                 a, b = f(n, d)
@@ -323,61 +262,62 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                 if c < 0:
                     return -a * e, -b * c
                 raise_(n, d)
-        elif isinstance(expr, Min):
+        elif kind is Min:
             def fn(n, d):
                 u = a, b = f(n, d)
                 v = c, e = g(n, d)
                 x, y, _, _ = _aligned(a, b, c, e)
                 return v if y < x else u
-        elif isinstance(expr, Max):
+        elif kind is Max:
             def fn(n, d):
                 u = a, b = f(n, d)
                 v = c, e = g(n, d)
                 x, y, _, _ = _aligned(a, b, c, e)
                 return v if x < y else u
         elif cf is not None or cg is not None:
-            # One constant operand (both constant folds below).
-            if isinstance(expr, Sub):
-                if cg is not None:
-                    cg = (-cg[0], cg[1])
-                else:
-                    g0 = g
-
-                    def g(n, d):
-                        a, b = g0(n, d)
-                        return -a, b
-
-            u, (cn, cd) = (f, cg) if cg is not None else (g, cf)
-            combine = _exact_mul_const if isinstance(expr, Mul) else _exact_add_const
-            fn = combine(u, cn, cd)
-        else:
-            lowest = False
-            if isinstance(expr, Add):
+            # One constant operand p/q (both constant folds below).
+            u, (p, q) = (f, cg) if cg is not None else (g, cf)
+            if kind is Mul:
                 def fn(n, d):
-                    a, b = f(n, d)
-                    c, e = g(n, d)
-                    x, y, u, v = _aligned(a, b, c, e)
-                    return x + y, u * v
-            elif isinstance(expr, Sub):
+                    a, b = u(n, d)
+                    return a * p, b * q
+            elif kind is Sub and cg is None:
                 def fn(n, d):
-                    a, b = f(n, d)
-                    c, e = g(n, d)
-                    x, y, u, v = _aligned(a, b, c, e)
-                    return x - y, u * v
+                    a, b = u(n, d)
+                    return p * b - a * q, b * q
             else:
+                if kind is Sub:
+                    p = -p
+
                 def fn(n, d):
-                    a, b = f(n, d)
-                    c, e = g(n, d)
-                    return a * c, b * e
+                    a, b = u(n, d)
+                    return a * q + p * b, b * q
+        elif kind is Add:
+            def fn(n, d):
+                a, b = f(n, d)
+                c, e = g(n, d)
+                x, y, u, v = _aligned(a, b, c, e)
+                return x + y, u * v
+        elif kind is Sub:
+            def fn(n, d):
+                a, b = f(n, d)
+                c, e = g(n, d)
+                x, y, u, v = _aligned(a, b, c, e)
+                return x - y, u * v
+        else:
+            def fn(n, d):
+                a, b = f(n, d)
+                c, e = g(n, d)
+                return a * c, b * e
     else:
         raise TypeError(f"not a function expression: {expr!r}")
 
     if None in children:
-        return fn, None, lowest
+        return fn, None
     try:
         value = Fraction(*fn(0, 1))
     except EvalError:
-        return fn, None, lowest
+        return fn, None
     return _exact_const(value.numerator, value.denominator)
 
 
@@ -558,13 +498,12 @@ def eval_exact(expr: FunctionExpr, x: Fraction) -> Fraction:
         EvalError: if a denominator is exactly zero at ``x``.
     """
     try:
-        fn, _, lowest = expr._exact_code
+        fn, _ = expr._exact_code
     except AttributeError:
-        fn, _, lowest = _compiled(expr, "_exact_code", _compile_exact)
+        fn, _ = _compiled(expr, "_exact_code", _compile_exact)
     if type(x) is not Fraction:
         x = Fraction(x)
-    num, den = fn(x.numerator, x.denominator)
-    return _coprime(num, den) if lowest else reduced(num, den)
+    return reduced(*fn(x.numerator, x.denominator))
 
 
 def eval_float(expr: FunctionExpr, x: float) -> float:

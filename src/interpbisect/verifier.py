@@ -203,11 +203,21 @@ def extract_witness(trace: Trace, f: FunctionExpr) -> WitnessCertificate:
         BackendNotExact: for float traces.
     """
     _require_exact(trace)
-    for rec, witness in _earliest_witness(trace, f):
-        if witness is not None:
-            return WitnessCertificate(
-                kind=WitnessKind.MIDPOINT, x=rec.c_n, f_x=witness.value, index=witness.j
-            )
+    found = next((w for _, w in _earliest_witness(trace, f) if w is not None), None)
+    return _witness_certificate(trace, f, found)
+
+
+def _witness_certificate(
+    trace: Trace, f: FunctionExpr, found: Optional[WitnessFound]
+) -> WitnessCertificate:
+    """The MIDPOINT certificate of ``found``, else the limit estimate as a candidate.
+
+    ``found`` is the earliest midpoint witness, as the last outcome of
+    :func:`check_claim` carries it, or None when there is none.
+    """
+    if found is not None:
+        x = next(rec.c_n for rec in trace.steps if rec.n == found.j)
+        return WitnessCertificate(kind=WitnessKind.MIDPOINT, x=x, f_x=found.value, index=found.j)
     x = trace.limit_estimate
     return WitnessCertificate(kind=WitnessKind.LIMIT, x=x, f_x=eval_exact(f, x))
 

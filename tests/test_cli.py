@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from interpbisect import trace_from_jsonl
+from interpbisect import eval_exact, trace_from_jsonl, verifier
 from interpbisect.cli import EXIT_CLAIM, EXIT_OK, EXIT_SIGN, EXIT_USAGE, main
 from reference import SAMPLE_TEXT
 
@@ -396,6 +396,40 @@ class TestVerify:
         assert cases == ["straddle", "straddle", "violation", "straddle", "straddle"]
         assert "claim violated at step 3" in err
 
+    @pytest.mark.parametrize("witness", [False, True])
+    def test_each_midpoint_is_evaluated_once(self, tmp_path, capsys, monkeypatch, witness):
+        # check_claim evaluates c_n, a_n, b_n step by step up to the
+        # witness; the certificate reuses its value, and only a run with
+        # no witness evaluates the limit estimate on top.
+        out = tmp_path / "t.jsonl"
+        if witness:
+            run_cli(RUN_SAMPLE + ["--out", out], capsys)
+            text = SAMPLE_TEXT
+        else:
+            run_cli(
+                ["run", "-f", "x", "--a=-1", "--b", "2", "-e", "1/1000",
+                 "--mode", "classical", "--max-steps", "5", "--out", out],
+                capsys,
+            )
+            text = "x"
+        trace = trace_from_jsonl(out.read_text())
+        calls = []
+
+        def counting(f, x):
+            calls.append(x)
+            return eval_exact(f, x)
+
+        monkeypatch.setattr(verifier, "eval_exact", counting)
+        code, stdout, _ = run_cli(["verify", "-t", out, "-f", text], capsys)
+        assert code == EXIT_OK
+        if witness:
+            assert json.loads(stdout)["witness"]["index"] == 1
+            assert calls == [trace.steps[0].c_n]
+        else:
+            assert json.loads(stdout)["witness"]["kind"] == "limit"
+            points = [x for rec in trace.steps for x in (rec.c_n, rec.a_n, rec.b_n)]
+            assert calls == points + [trace.limit_estimate]
+
     def test_malformed_trace_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "garbage.jsonl"
         bad.write_text("this is not a trace\n")
@@ -556,6 +590,61 @@ class TestPlot:
         )
         assert code == EXIT_OK
         assert "<path" in svg_path.read_text()
+
+
+class TestBeyondFloatRange:
+    """Values past the largest float: exact summaries print inf, float inputs are usage errors."""
+
+    BIG = str(10**400)  # 401 digits, past the largest float
+
+    def test_exact_run_prints_inf(self, tmp_path, capsys):
+        code, stdout, err = run_cli(
+            ["run", "-f", "x - 10^400", "--a", "0", "--b", str(2 * 10**400), "-e", "1",
+             "--max-steps", "2", "--out", tmp_path / "t.jsonl"],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert f"limit estimate: {self.BIG}/1 (inf)" in stdout
+
+    def test_exact_run_prints_inf_for_the_limit_candidate(self, tmp_path, capsys):
+        code, stdout, err = run_cli(
+            ["run", "-f", "10^400 * x", "--a=-1", "--b", "3", "-e", "1",
+             "--max-steps", "1", "--out", tmp_path / "t.jsonl"],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert f"with f(x) = {self.BIG}/1 (inf)" in stdout
+
+    def test_exact_compare_prints_inf(self, capsys):
+        code, stdout, err = run_cli(
+            ["compare", "-f", "x - 10^400", "--a", "0", "--b", str(2 * 10**400), "-e", "1",
+             "--max-steps", "2"],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split() for line in stdout.splitlines() if re.match(r"\s+\d+ ", line)]
+        assert rows == [
+            ["1", "inf", "0.000000000", "inf", "0.000000000"],
+            ["2", "inf", "0.000000000", "inf", "-inf"],
+        ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--backend", "float", "-f", "x", "--a=-1", "--b", BIG, "-e", "1/3"],
+            ["run", "--backend", "float", "-f", f"x - {BIG}", "--a=-1", "--b", "1", "-e", "1/3"],
+            ["plot", "-f", "x", "--x-min", "0", "--x-max", BIG],
+        ],
+        ids=["float-endpoint", "float-constant", "plot-range"],
+    )
+    def test_float_inputs_are_usage_errors(self, tmp_path, capsys, args):
+        trace = tmp_path / "t.jsonl"
+        assert run_cli(RUN_SAMPLE + ["--max-steps", "3", "--out", trace], capsys)[0] == EXIT_OK
+        if args[0] == "plot":
+            args = args + ["-t", trace]
+        code, _, err = run_cli(args + ["--out", tmp_path / "out"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("float range: ") and err.count("\n") == 1
 
 
 class TestProcessLevel:

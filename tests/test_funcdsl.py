@@ -501,6 +501,7 @@ class TestCompiledEvaluators:
             "(x^2 - x/3) / (-2/3)",
             "min(2/3, x^2 - x/3)",
             "max(x^2 - x/3, 2/3)",
+            "max(2/3, (x^2 - x/3) / (-2/3))",
             "-abs(x - 1/2)^3 + 0*x",
             "x^0 + (1/x^0)",
         ],
@@ -511,6 +512,11 @@ class TestCompiledEvaluators:
         us = range(-30, 31)
         want = [walk_eval(expr, Fraction(u, 14), Fraction) for u in us]
         assert [Fraction(n, scale) for n in column(us)] == want
+        # The exact evaluator's closures for the same constant operands.
+        for u, value in zip(us, want):
+            got = eval_exact(expr, Fraction(u, 14))
+            assert got == value
+            assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
 
     @pytest.mark.parametrize(
         "text,x,path",
@@ -521,6 +527,9 @@ class TestCompiledEvaluators:
             ("min(x, 1/x) + 1/0", 2, ("Add[1]", "Div")),
             ("(1/x)^0", 0, ("Pow", "Div")),
             ("abs(-(x/(x*0)))", 3, ("Abs", "Neg", "Div")),
+            ("x/(1-1)", 5, ("Div",)),
+            ("(1/x)/(2-2)", 0, ("Div[0]", "Div")),
+            ("(1/x)/(2-2)", 3, ("Div",)),
         ],
     )
     def test_error_location_in_both_backends(self, text, x, path):
