@@ -85,6 +85,15 @@ class TestRun:
         trace = trace_from_jsonl(out.read_text())
         assert isinstance(trace.limit_estimate, float)
 
+    def test_float_resolution_exhaustion_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f.jsonl"
+        code, _, stderr = run_cli(
+            RUN_SAMPLE + ["--backend", "float", "--max-steps", "60", "--out", out], capsys
+        )
+        assert code == EXIT_USAGE == 2
+        assert stderr.startswith("error: degenerate interval at step 56: [")
+        assert not out.exists()
+
     def test_stop_early(self, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
         code, stdout, _ = run_cli(

@@ -391,6 +391,14 @@ class TestRun:
         for rec_e, rec_f in zip(exact.steps, approx.steps):
             assert rec_f.c_n == pytest.approx(float(rec_e.c_n), abs=1e-9)
 
+    def test_float_resolution_exhaustion_stops_the_run(self, sample):
+        # About 54 halvings exhaust binary64 at the sample's root, and the
+        # window update refuses the first window with a_n == b_n.  This pins
+        # today's behaviour, not the explicit stop the run should make.
+        config = ProblemConfig(a=-1.0, b=1.0, epsilon=1 / 3, max_steps=60, backend=FLOAT64)
+        with pytest.raises(ValueError, match=r"^degenerate interval at step 56: \["):
+            run(config, sample)
+
 
 class TestTraceJsonl:
     def test_exact_bytes_of_a_short_run(self, sample):
