@@ -27,14 +27,17 @@ The recurrence runs in one of two backends, :data:`EXACT` (rationals,
 no rounding anywhere) and :data:`FLOAT64` (IEEE binary64).  Each owns
 its scalar type, its evaluator, its trace text, and the midpoint, weight
 and window update of one step.  :func:`run` takes the backend its config
-names; :func:`midpoint`, the weight functions and :func:`step` compute
-in floats when any operand is a float, else exactly.
+names and keeps the window in locals; only the float window update
+checks a_n < b_n, which the width identity guarantees exactly.
+:class:`IterationState` serves :func:`step`.  :func:`midpoint`, the
+weights and :func:`step` compute in floats when any operand is a float.
 
 Runs record every step into a :class:`Trace`, which serializes to JSONL:
 one config line, one line per step, one final line.  Exact scalars are
-``num/den`` strings, float scalars are JSON numbers.  Writing and
-reading an exact trace converts each distinct denominator between int
-and text once per call, since a_n, b_n and c_n share one on every line.
+``num/den`` strings, float scalars are JSON numbers.  Each line is one
+format string over JSON texts: digits need no escaping, so the bytes are
+``json.dumps``'s.  Writing and reading an exact trace converts each
+distinct denominator between int and text once per call.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import isfinite
 from typing import Optional, Tuple, Union
 
 from .funcdsl import FunctionExpr, eval_exact, eval_float
@@ -156,10 +160,9 @@ class ExactBackend:
     def _trace_codec(self):
         """``(to_json, from_json)`` for one trace call.
 
-        The trace format stores exact values as :meth:`format`'s
-        ``num/den`` strings.  Both converters turn each distinct
-        denominator between int and text once per call (see
-        :mod:`interpbisect.numerics`).
+        ``to_json`` writes the JSON text of :meth:`format`'s ``num/den``
+        string; ``from_json`` reads the decoded string.  Both convert each
+        distinct denominator once per call (see :mod:`interpbisect.numerics`).
         """
         dens = {}
 
@@ -171,7 +174,7 @@ class ExactBackend:
             q = _read_plain(value, dens)
             return parse_rational(value) if q is None else q
 
-        return _DenTexts().format, from_json
+        return _DenTexts().json, from_json
 
     def midpoint(self, a: Fraction, b: Fraction) -> Fraction:
         x, y, u, v = _aligned(a.numerator, a.denominator, b.numerator, b.denominator)
@@ -191,18 +194,17 @@ class ExactBackend:
     def classical_weight(self, f_c: Fraction) -> Fraction:
         return _ZERO if f_c < 0 else _ONE
 
-    def advance(self, state: IterationState, c: Fraction, d: Fraction, width: Fraction) -> IterationState:
-        """The next window, given the midpoint ``c`` of ``state`` and a valid weight."""
-        b = state.b_n
+    def next_window(self, n: int, b: Fraction, c: Fraction, d: Fraction, width: Fraction):
+        """``(a_{n+1}, b_{n+1})`` from b_n, c_n and a valid d_n; a_{n+1} < b_{n+1} exactly."""
         if not d:
-            return IterationState(state.n + 1, c, b)
+            return c, b
         # shift = sn / sd, unreduced; each endpoint is reduced once.
         sn = d.numerator * width.numerator
-        sd = (d.denominator * width.denominator) << state.n
+        sd = (d.denominator * width.denominator) << n
         x, y, u, v = _aligned(c.numerator, c.denominator, sn, sd)
         a_next = reduced(x - y, u * v)
         x, y, u, v = _aligned(b.numerator, b.denominator, sn, sd)
-        return IterationState(state.n + 1, a_next, reduced(x - y, u * v))
+        return a_next, reduced(x - y, u * v)
 
 
 class FloatBackend:
@@ -230,14 +232,14 @@ class FloatBackend:
         return repr(float(value))
 
     def _trace_codec(self):
-        """``(to_json, from_json)`` for one trace: floats are JSON numbers."""
+        """``(to_json, from_json)`` for one trace: floats are JSON numbers, as text."""
 
         def from_json(value: Union[str, int, float]) -> float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"float trace values must be numbers, got {value!r}")
             return float(value)
 
-        return float, from_json
+        return _float_json, from_json
 
     def midpoint(self, a: float, b: float) -> float:
         return (a + b) / 2
@@ -249,10 +251,12 @@ class FloatBackend:
     def classical_weight(self, f_c: float) -> float:
         return 0.0 if f_c < 0 else 1.0
 
-    def advance(self, state: IterationState, c: float, d: float, width: float) -> IterationState:
-        """The next window, given the midpoint ``c`` of ``state`` and a valid weight."""
-        shift = d * width / 2**state.n
-        return IterationState(state.n + 1, c - shift, state.b_n - shift)
+    def next_window(self, n: int, b: float, c: float, d: float, width: float):
+        """``(a_{n+1}, b_{n+1})``; ValueError once rounding closes the window."""
+        shift = d * width / 2**n
+        a_next, b_next = c - shift, b - shift
+        _check_window(n + 1, a_next, b_next)
+        return a_next, b_next
 
 
 EXACT = ExactBackend()
@@ -327,7 +331,7 @@ class ProblemConfig:
 
 @dataclass(frozen=True)
 class IterationState:
-    """Interval at step ``n``; width is (b - a) / 2^(n-1) by construction."""
+    """:func:`step`'s interval at step ``n``, of width (b - a) / 2^(n-1)."""
 
     n: int
     a_n: Scalar
@@ -336,11 +340,15 @@ class IterationState:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"step index starts at 1, got {self.n}")
-        if not self.a_n < self.b_n:
-            raise ValueError(
-                f"degenerate interval at step {self.n}: "
-                f"[{scalar_text(self.a_n)}, {scalar_text(self.b_n)}]"
-            )
+        _check_window(self.n, self.a_n, self.b_n)
+
+
+def _check_window(n: int, a_n: Scalar, b_n: Scalar) -> None:
+    """Raise ValueError naming step ``n`` unless ``a_n < b_n``."""
+    if not a_n < b_n:
+        raise ValueError(
+            f"degenerate interval at step {n}: [{scalar_text(a_n)}, {scalar_text(b_n)}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -417,7 +425,10 @@ def step(state: IterationState, d: Scalar, original_width: Scalar) -> IterationS
     if not (0 <= d <= 1):
         raise InvalidWeight(f"weight must lie in [0, 1], got {scalar_text(d)}")
     backend = _backend_of(state.a_n, state.b_n, d, original_width)
-    return backend.advance(state, backend.midpoint(state.a_n, state.b_n), d, original_width)
+    c = backend.midpoint(state.a_n, state.b_n)
+    return IterationState(
+        state.n + 1, *backend.next_window(state.n, state.b_n, c, d, original_width)
+    )
 
 
 def cauchy_bound(m: int, original_width: Scalar) -> Scalar:
@@ -453,22 +464,22 @@ def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
         raise SignPreconditionViolated(f_a, f_b)
 
     width = config.original_width
-    state = IterationState(1, config.a, config.b)
+    a, b = config.a, config.b
     records = []
     stopped_at: Optional[int] = None
     for n in range(1, config.max_steps + 1):
-        c = backend.midpoint(state.a_n, state.b_n)
+        c = backend.midpoint(a, b)
         f_c = evaluate(f, c)
         if config.weight_mode is WeightMode.INTERPOLATED:
             d = backend.interpolation_weight(f_c, config.epsilon)
         else:
             d = backend.classical_weight(f_c)
-        records.append(StepRecord(n, state.a_n, state.b_n, c, f_c, d))
+        records.append(StepRecord(n, a, b, c, f_c, d))
         if config.stop_early and abs(f_c) < config.epsilon:
             stopped_at = n
             break
         if n < config.max_steps:
-            state = backend.advance(state, c, d, width)
+            a, b = backend.next_window(n, b, c, d, width)
 
     last = records[-1]
     return Trace(
@@ -483,8 +494,19 @@ def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
 # ---------------------------------------------------------------------------
 # JSONL trace format
 
-# json.dumps(obj, separators=(",", ":")), without building an encoder per line.
+# json.dumps(obj, separators=(",", ":")), without building an encoder per call.
 _dump = json.JSONEncoder(separators=(",", ":")).encode
+
+# The trace lines over JSON texts; the backend name and the mode need no escaping.
+_HEAD = '{{"a":{},"b":{},"epsilon":{},"backend":"{}","mode":"{}","max_steps":{}{}}}'.format
+_STEP = '{{"n":{},"a_n":{},"b_n":{},"c_n":{},"f_c_n":{},"d_n":{}}}'.format
+_TAIL = '{{"limit_estimate":{},"limit_error_bound":{}{}}}'.format
+
+
+def _float_json(value: float) -> str:
+    """The JSON text of ``float(value)``: its repr, or Infinity, -Infinity, NaN."""
+    x = float(value)
+    return repr(x) if isfinite(x) else _dump(x)
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -495,38 +517,17 @@ def trace_to_jsonl(trace: Trace) -> str:
     """
     config = trace.config
     backend = config.backend
-    to_json, _ = backend._trace_codec()
-    head = {
-        "a": to_json(config.a),
-        "b": to_json(config.b),
-        "epsilon": to_json(config.epsilon),
-        "backend": backend.name,
-        "mode": config.weight_mode.value,
-        "max_steps": config.max_steps,
-    }
-    if config.stop_early:
-        head["stop_early"] = True
-    lines = [_dump(head)]
-    for rec in trace.steps:
-        lines.append(
-            _dump(
-                {
-                    "n": rec.n,
-                    "a_n": to_json(rec.a_n),
-                    "b_n": to_json(rec.b_n),
-                    "c_n": to_json(rec.c_n),
-                    "f_c_n": to_json(rec.f_c_n),
-                    "d_n": to_json(rec.d_n),
-                }
-            )
-        )
-    tail = {
-        "limit_estimate": to_json(trace.limit_estimate),
-        "limit_error_bound": to_json(trace.limit_error_bound),
-    }
-    if trace.stopped_early_at is not None:
-        tail["stopped_early_at"] = trace.stopped_early_at
-    lines.append(_dump(tail))
+    text, _ = backend._trace_codec()
+    a, b, epsilon = (text(v) for v in (config.a, config.b, config.epsilon))
+    stop = ',"stop_early":true' if config.stop_early else ""
+    lines = [_HEAD(a, b, epsilon, backend.name, config.weight_mode.value, config.max_steps, stop)]
+    lines += [
+        _STEP(rec.n, text(rec.a_n), text(rec.b_n), text(rec.c_n), text(rec.f_c_n), text(rec.d_n))
+        for rec in trace.steps
+    ]
+    stopped = trace.stopped_early_at
+    stop = "" if stopped is None else f',"stopped_early_at":{_dump(stopped)}'
+    lines.append(_TAIL(text(trace.limit_estimate), text(trace.limit_error_bound), stop))
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,8 @@ e.g. ``-13/14``, ``0/1``).  A trace repeats its large denominators:
 a_n, b_n and c_n share the window's on every line, and f(c_n) often
 shares it too.  So the trace writer and reader convert each distinct
 denominator once per call, through a memo dict per call
-(:class:`_DenTexts`, and the one :func:`_read_plain` takes).  Numerators
+(:class:`_DenTexts`, and the one :func:`_read_plain` takes); the writer
+quotes ``num/den`` itself, as digits need no JSON escape.  Numerators
 are converted every time: the ones that repeat are saturated weights
 like ``1/1``, and a memo lookup that misses costs more than converting
 a small integer.
@@ -75,7 +76,9 @@ _coprime = _coprime_maker()
 # vs 1.3-1.6 us at 20-60 bits, 2.5 vs 1.6 us at 300 bits, 18 vs 2.6 us at
 # 2,000 bits, 120 vs 9.2 us at 7,500 bits.  _aligned() uses the same
 # test: a sum of two such pairs cost 0.26 us cross-multiplied against
-# 0.44 us aligned at 30 twos, and 17 vs 1.7 us at 2,000.
+# 0.44 us aligned at 30 twos, and 17 vs 1.7 us at 2,000.  A lone sum stays
+# cheaper cross-multiplied up to about 256 twos, but a cut-over there made
+# check_claim 6-8% slower: the evaluator carries 2^(i+j) into later nodes.
 _FEW_TWOS = (1 << 65) - 1
 
 
@@ -190,12 +193,12 @@ class _DenTexts(dict):
         self[d] = text
         return text
 
-    def format(self, q: Fraction) -> str:
-        """:func:`format_rational`, with the denominator's text from here."""
+    def json(self, q: Fraction) -> str:
+        """``json.dumps(format_rational(q))``, the denominator's text from here."""
         try:
-            return f"{q.numerator}/{self[q.denominator]}"
+            return f'"{q.numerator}/{self[q.denominator]}"'
         except ValueError:
-            return f"{Decimal(q.numerator)}/{self[q.denominator]}"
+            return f'"{Decimal(q.numerator)}/{self[q.denominator]}"'
 
 
 def parse_rational(text: str) -> Fraction:

@@ -623,3 +623,57 @@ class TestPinnedTraceBytes:
         assert _sha256(texts) == (
             "9706206d7e6c21bc30d23cbc7f521df16b6cca8246218ef31d6212ab888d8f0d"
         )
+
+
+def _assert_canonical_json_lines(text):
+    """Every line is what ``json.dumps`` writes for the value it decodes to."""
+    lines = text.splitlines()
+    assert text == "\n".join(lines) + "\n"
+    for line in lines:
+        assert line == json.dumps(json.loads(line), separators=(",", ":"))
+
+
+class TestWriterOracle:
+    """``trace_to_jsonl`` against json's own encoder, an independent oracle."""
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    @pytest.mark.parametrize(
+        "text,a,b,epsilon,steps",
+        [
+            (SAMPLE_TEXT, SAMPLE_A, SAMPLE_B, F(1, 3), 120),
+            ("x^3 - 1/3", F(0), F(1), F(1), 7),
+        ],
+        ids=["sample", "cubic"],
+    )
+    def test_exact(self, mode, text, a, b, epsilon, steps):
+        config = ProblemConfig(a=a, b=b, epsilon=epsilon, max_steps=steps, weight_mode=mode)
+        _assert_canonical_json_lines(trace_to_jsonl(run(config, parse(text))))
+
+    def test_corpus(self, corpus_bundle):
+        for trace in corpus_bundle.interpolated + corpus_bundle.classical:
+            _assert_canonical_json_lines(trace_to_jsonl(trace))
+
+    def test_float(self, sample):
+        config = ProblemConfig(a=-1.0, b=1.0, epsilon=1 / 3, max_steps=50, backend=FLOAT64)
+        _assert_canonical_json_lines(trace_to_jsonl(run(config, sample)))
+
+    def test_float_infinity(self):
+        # x^1000 overflows to inf at every midpoint past 2.
+        config = ProblemConfig(a=0.0, b=10.0, epsilon=1 / 3, max_steps=5, backend=FLOAT64)
+        text = trace_to_jsonl(run(config, parse("x^1000 - 1")))
+        assert '"f_c_n":Infinity' in text
+        _assert_canonical_json_lines(text)
+
+    def test_past_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        den = 3 ** (2 * limit) << 9000
+        big = F(-(10 ** (limit + 10)) - 7, den)
+        config = ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3), max_steps=2, stop_early=True)
+        steps = (
+            StepRecord(1, F(-1), F(1), big, F(1, den), F(10 ** (limit + 5) + 1, 7)),
+            StepRecord(2, big, F(1, den), big, big, F(1)),
+        )
+        trace = Trace(config, steps, limit_estimate=big, limit_error_bound=F(1), stopped_early_at=2)
+        text = trace_to_jsonl(trace)
+        assert len(text) > 4 * limit
+        _assert_canonical_json_lines(text)

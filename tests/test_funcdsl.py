@@ -183,6 +183,45 @@ class TestEvalExact:
         assert eval_exact(parse("x^0"), F(5)) == F(1)
 
 
+# Powers, nested and not, with plain Fraction arithmetic as the oracle.
+POW_CASES = [(f"x^{k}", lambda x, k=k: x**k) for k in range(7)] + [
+    ("(x^2 + 1)^3 / x^2", lambda x: (x**2 + 1) ** 3 / x**2),
+    ("((x - 1/3)^2)^3", lambda x: ((x - F(1, 3)) ** 2) ** 3),
+    ("-(x^3 - x/5)^2 + abs(x)^5", lambda x: -((x**3 - x / 5) ** 2) + abs(x) ** 5),
+    ("1/(x^2 + 1)^4", lambda x: 1 / (x**2 + 1) ** 4),
+    ("min(x^4, (x + 1/2)^2)^3", lambda x: min(x**4, (x + F(1, 2)) ** 2) ** 3),
+]
+
+
+class TestDyadicPow:
+    """``Pow`` shifts a denominator's power of two instead of raising it."""
+
+    # Twos in x's denominator: both sides of the 64-twos cut-over of the
+    # sums and of Pow's own at 256, and past both.
+    @pytest.mark.parametrize("e", [0, 1, 64, 65, 255, 256, 257, 300])
+    @pytest.mark.parametrize("text,oracle", POW_CASES, ids=[t for t, _ in POW_CASES])
+    @given(m=st.integers(-(1 << 400), 1 << 400).filter(bool), q=st.integers(0, 1 << 40))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_fraction_arithmetic(self, e, text, oracle, m, q):
+        x = F(m, (2 * q + 1) << e)
+        assert eval_exact(parse(text), x) == oracle(x)
+
+    @pytest.mark.parametrize(
+        "text,path",
+        [
+            ("(1/(x - 5/(3*2^300)))^3", ("Pow", "Div")),
+            ("(x + (1/(x - 5/(3*2^300)))^3)^2 / x^2", ("Div[0]", "Pow", "Add[1]", "Pow", "Div")),
+            # The zero divisor is a difference of two shifted powers.
+            ("1/(x^3 - 125/(27*2^900))", ("Div",)),
+        ],
+    )
+    def test_error_under_a_pow_keeps_x_and_path(self, text, path):
+        x = F(5, 3 << 300)
+        with pytest.raises(EvalError) as err:
+            eval_exact(parse(text), x)
+        assert (err.value.x, err.value.path) == (x, path)
+
+
 class TestEvalFloat:
     def test_basics(self):
         assert eval_float(parse("x"), 0.5) == 0.5

@@ -1,5 +1,7 @@
 """Rational helpers, the weight's clamp, backends, text forms."""
 
+import json
+import math
 import re
 import sys
 from decimal import Decimal
@@ -160,10 +162,15 @@ class TestBackends:
         assert float(FLOAT64.format(1 / 3)) == 1 / 3
 
     def test_json_round_trip(self):
-        for backend, value, text in ((EXACT, Fraction(-7, 12), "-7/12"), (FLOAT64, 0.3, 0.3)):
+        # to_json writes a scalar's JSON text; from_json reads the decoded value.
+        for backend, value, text in (
+            (EXACT, Fraction(-7, 12), '"-7/12"'),
+            (FLOAT64, 0.3, "0.3"),
+            (FLOAT64, -math.inf, "-Infinity"),
+        ):
             to_json, from_json = backend._trace_codec()
-            assert to_json(value) == text
-            assert from_json(to_json(value)) == value
+            assert to_json(value) == text == json.dumps(json.loads(text))
+            assert from_json(json.loads(to_json(value))) == value
 
     def test_json_rejects_wrong_shapes(self):
         for backend, value, message in (
