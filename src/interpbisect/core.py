@@ -239,7 +239,13 @@ class FloatBackend:
                 raise ValueError(f"float trace values must be numbers, got {value!r}")
             return float(value)
 
-        return _float_json, from_json
+        fmt = self.format
+
+        def to_json(value: float) -> str:
+            # json writes a finite float as its repr, which is format's text.
+            return fmt(value) if isfinite(value) else _nonfinite_json(float(value))
+
+        return to_json, from_json
 
     def midpoint(self, a: float, b: float) -> float:
         return (a + b) / 2
@@ -494,19 +500,13 @@ def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
 # ---------------------------------------------------------------------------
 # JSONL trace format
 
-# json.dumps(obj, separators=(",", ":")), without building an encoder per call.
-_dump = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps(x) of a non-finite float: Infinity, -Infinity or NaN.
+_nonfinite_json = json.JSONEncoder().encode
 
 # The trace lines over JSON texts; the backend name and the mode need no escaping.
 _HEAD = '{{"a":{},"b":{},"epsilon":{},"backend":"{}","mode":"{}","max_steps":{}{}}}'.format
 _STEP = '{{"n":{},"a_n":{},"b_n":{},"c_n":{},"f_c_n":{},"d_n":{}}}'.format
 _TAIL = '{{"limit_estimate":{},"limit_error_bound":{}{}}}'.format
-
-
-def _float_json(value: float) -> str:
-    """The JSON text of ``float(value)``: its repr, or Infinity, -Infinity, NaN."""
-    x = float(value)
-    return repr(x) if isfinite(x) else _dump(x)
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -526,7 +526,7 @@ def trace_to_jsonl(trace: Trace) -> str:
         for rec in trace.steps
     ]
     stopped = trace.stopped_early_at
-    stop = "" if stopped is None else f',"stopped_early_at":{_dump(stopped)}'
+    stop = "" if stopped is None else f',"stopped_early_at":{stopped}'
     lines.append(_TAIL(text(trace.limit_estimate), text(trace.limit_error_bound), stop))
     return "\n".join(lines) + "\n"
 

@@ -196,9 +196,9 @@ POW_CASES = [(f"x^{k}", lambda x, k=k: x**k) for k in range(7)] + [
 class TestDyadicPow:
     """``Pow`` shifts a denominator's power of two instead of raising it."""
 
-    # Twos in x's denominator: both sides of the 64-twos cut-over of the
-    # sums and of Pow's own at 256, and past both.
-    @pytest.mark.parametrize("e", [0, 1, 64, 65, 255, 256, 257, 300])
+    # Twos in x's denominator: both sides of the sums' 64-twos cut-over,
+    # and far past it.
+    @pytest.mark.parametrize("e", [0, 1, 64, 65, 300])
     @pytest.mark.parametrize("text,oracle", POW_CASES, ids=[t for t, _ in POW_CASES])
     @given(m=st.integers(-(1 << 400), 1 << 400).filter(bool), q=st.integers(0, 1 << 40))
     @settings(max_examples=25, deadline=None)
