@@ -3,8 +3,8 @@
 Exit codes are part of the contract: 0 on success, 2 for usage errors
 (bad flags, unparsable functions, malformed trace files, float traces
 handed to the verifier, values beyond the float range where floats are
-asked for), 3 when the endpoint signs refuse a run, and 4
-when verification finds a claim violation.
+asked for, input nested too deeply), 3 when the endpoint signs refuse
+a run, and 4 when verification finds a claim violation.
 """
 
 from __future__ import annotations
@@ -593,4 +593,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OverflowError as exc:
         # A float-backend input or constant, or a plot range, past the largest float.
         print(f"float range: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError as exc:
+        # The parser, the printer, the evaluators and json's decoder recurse per level.
+        print(f"input nested too deeply: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -552,8 +552,8 @@ def trace_from_jsonl(text: str) -> Trace:
 
     Raises:
         TraceFormatError: on any structural problem: bad JSON, missing
-            keys, wrong scalar encodings, or non-consecutive step
-            indices.
+            keys, wrong scalar encodings, or step indices that are not
+            consecutive integers.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 3:
@@ -598,7 +598,8 @@ def trace_from_jsonl(text: str) -> Trace:
                 f_c_n=from_json(_take(obj, "f_c_n", lineno)),
                 d_n=from_json(_take(obj, "d_n", lineno)),
             )
-        except ValueError as exc:
+            _require_int("n", rec.n)
+        except (ValueError, TypeError) as exc:
             raise TraceFormatError(f"line {lineno}: bad step: {exc}") from exc
         if rec.n != lineno - 1:
             raise TraceFormatError(

@@ -22,8 +22,9 @@ divides 3 by 4 squared.  A ratio never forms in the right operand of a
 division; ``x/2/3`` stays left-associative ``(x/2)/3``.
 
 Evaluation compiles each expression once per backend, on its first
-evaluation, into closures cached on the expression object; see the
-Evaluation section below; exact ``Pow`` shifts the power of two.
+evaluation, into closures cached on the expression object.  One walk
+over the tree labels paths and folds constants for every backend, and
+each backend supplies only a node builder; see the Evaluation section.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul, neg, sub, truediv
+from operator import add, mul, neg, sub
 from typing import Iterator, Tuple, Union
 
 from .numerics import _aligned, reduced, scalar_text
@@ -179,10 +181,11 @@ class EvalError(ArithmeticError):
 #
 # Each expression compiles once per backend into nested closures, cached
 # on the expression object (the frozen fields, and with them equality,
-# hashing and repr, are untouched).  Subtrees without ``x`` fold to
-# constants at compile time.  A subtree that divides by zero stays a
-# closure and raises when it runs, so an error names the same node and
-# the same ``x`` as a left-to-right walk of the tree would.
+# hashing and repr, are untouched).  One walk, _lower, compiles for
+# every backend, which supplies a node builder and a fold.  A subtree
+# that divides by zero stays a closure and raises when it runs, so an
+# error names the same node and the same ``x`` as a left-to-right walk
+# of the tree would.
 #
 # Exact closures map x, passed as its numerator and denominator, to a
 # value pair (num, den) with den > 0 that no closure reduces; eval_exact
@@ -199,62 +202,78 @@ class EvalError(ArithmeticError):
 # (q^k) << tk, not b^k.
 
 
-def _raise_at(path: Tuple[str, ...]):
-    def raise_(n, d):
-        raise EvalError(Fraction(n, d), path)
+def _lower(expr: FunctionExpr, path: Tuple[str, ...], node, fold):
+    """``(code, const)``: ``expr`` as backend code, and its value if x-free, else None.
 
-    return raise_
+    ``node(expr, path, kids)`` makes that pair for one node from its
+    children's.  A node whose children are all constant is folded by
+    ``fold(code)``, which runs it once and returns a constant's pair,
+    unless the run raises EvalError: then the node raises when it runs.
+    """
+    kind = type(expr)
+    if kind is Var or kind is RationalConst:
+        return node(expr, path, ())
+    name = kind.__name__
+    if kind is Neg or kind is Abs or kind is Pow:
+        child = expr.base if kind is Pow else expr.operand
+        kids = (_lower(child, path + (name,), node, fold),)
+    elif kind in (Add, Sub, Mul, Div, Min, Max):
+        kids = (
+            _lower(expr.left, path + (f"{name}[0]",), node, fold),
+            _lower(expr.right, path + (f"{name}[1]",), node, fold),
+        )
+    else:
+        raise TypeError(f"not a function expression: {expr!r}")
+    lowered = node(expr, path, kids)
+    # kids[-1] is kids[0] for a node with one child.
+    if lowered[1] is not None or kids[0][1] is None or kids[-1][1] is None:
+        return lowered
+    try:
+        return fold(lowered[0])
+    except EvalError:
+        return lowered
 
 
-def _exact_const(num: int, den: int):
+def _exact_const(q: Fraction):
+    num, den = q.numerator, q.denominator
     return (lambda n, d: (num, den)), (num, den)
 
 
-def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
-    """``(fn, const)`` for ``expr``.
+def _exact_fold(fn):
+    return _exact_const(Fraction(*fn(0, 1)))
 
-    ``fn(xn, xd)`` returns the value at x = xn/xd as a pair (num, den)
-    with den > 0, not necessarily in lowest terms; ``const`` is that
-    pair, in lowest terms, when ``expr`` has no x and evaluates without
-    error, else None.
-    """
-    if isinstance(expr, Var):
+
+def _exact_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
+    """``(fn, const)`` for one node: ``fn(xn, xd)`` is its value pair at x = xn/xd."""
+    kind = type(expr)
+    if kind is Var:
         return (lambda n, d: (n, d)), None
-    if isinstance(expr, RationalConst):
-        return _exact_const(expr.value.numerator, expr.value.denominator)
+    if kind is RationalConst:
+        return _exact_const(expr.value)
+    f, cf = kids[0]
+    if kind is Neg:
+        def fn(n, d):
+            a, b = f(n, d)
+            return -a, b
+    elif kind is Abs:
+        def fn(n, d):
+            a, b = f(n, d)
+            return abs(a), b
+    elif kind is Pow:
+        k = expr.exponent
 
-    name = type(expr).__name__
-    if isinstance(expr, (Neg, Abs, Pow)):
-        f, const = _compile_exact(
-            expr.base if isinstance(expr, Pow) else expr.operand, path + (name,)
-        )
-        children = (const,)
-        if isinstance(expr, Neg):
-            def fn(n, d):
-                a, b = f(n, d)
-                return -a, b
-        elif isinstance(expr, Abs):
-            def fn(n, d):
-                a, b = f(n, d)
-                return abs(a), b
-        else:
-            k = expr.exponent
-
-            def fn(n, d):
-                a, b = f(n, d)
-                t = (b & -b).bit_length() - 1
-                return a**k, ((b >> t) ** k) << (t * k)
-    elif isinstance(expr, (Add, Sub, Mul, Div, Min, Max)):
-        f, cf = _compile_exact(expr.left, path + (f"{name}[0]",))
-        g, cg = _compile_exact(expr.right, path + (f"{name}[1]",))
-        children = (cf, cg)
-        kind = type(expr)
+        def fn(n, d):
+            a, b = f(n, d)
+            t = (b & -b).bit_length() - 1
+            return a**k, ((b >> t) ** k) << (t * k)
+    else:
+        g, cg = kids[1]
         if kind is Div and cg is not None and cg[0] != 0:
             # u / (p/q) is u * (q/p), with the sign moved to the numerator.
             sign = -1 if cg[0] < 0 else 1
             kind, cg = Mul, (sign * cg[1], sign * cg[0])
         if kind is Div:
-            raise_ = _raise_at(path + ("Div",))
+            div_path = path + ("Div",)
 
             def fn(n, d):
                 a, b = f(n, d)
@@ -263,7 +282,7 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                     return a * e, b * c
                 if c < 0:
                     return -a * e, -b * c
-                raise_(n, d)
+                raise EvalError(Fraction(n, d), div_path)
         elif kind is Min:
             def fn(n, d):
                 u = a, b = f(n, d)
@@ -277,7 +296,7 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                 x, y, _, _ = _aligned(a, b, c, e)
                 return v if x < y else u
         elif cf is not None or cg is not None:
-            # One constant operand p/q (both constant folds below).
+            # One constant operand p/q (both constant folds in _lower).
             u, (p, q) = (f, cg) if cg is not None else (g, cf)
             if kind is Mul:
                 def fn(n, d):
@@ -311,16 +330,10 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
                 a, b = f(n, d)
                 c, e = g(n, d)
                 return a * c, b * e
-    else:
-        raise TypeError(f"not a function expression: {expr!r}")
+    return fn, None
 
-    if None in children:
-        return fn, None
-    try:
-        value = Fraction(*fn(0, 1))
-    except EvalError:
-        return fn, None
-    return _exact_const(value.numerator, value.denominator)
+
+_compile_exact = partial(_lower, node=_exact_node, fold=_exact_fold)
 
 
 # Grid columns.  On a grid x = u/den with den fixed, every subtree whose
@@ -329,79 +342,67 @@ def _compile_exact(expr: FunctionExpr, path: Tuple[str, ...]):
 # such a tree into one C-level ``map`` per node over a block of
 # numerators u, aligning scales by their lcm; the verifier's grid oracle
 # scans with it and builds a Fraction only for the point it reports.
-
-_GRID_FOLD = {Add: add, Sub: sub, Mul: mul, Div: truediv, Min: min, Max: max}
-_GRID_MAP = {Add: add, Sub: sub, Min: min, Max: max}
+# A grid pair is ((column, s), const).
 
 
-def _grid_times(f, m: int):
-    """The column ``f`` multiplied by the integer ``m``."""
+class _NoColumn(Exception):
+    """A divisor depends on x or is zero: scan point by point."""
+
+
+def _grid_times(f, m: int, c=None):
+    """The column ``f`` times the integer ``m``; an endless ``repeat`` if it is constant ``c``."""
+    if c is not None:
+        n = c.numerator * m
+        return lambda us: repeat(n)
     if m == 1:
         return f
     return lambda us: map(mul, f(us), repeat(m))
 
 
-def _grid_column(node, scale: int):
-    """A constant or ``(fn, s)`` node as a column over ``scale``, a multiple of s."""
-    if isinstance(node, Fraction):
-        c = node.numerator * (scale // node.denominator)
-        return lambda us: repeat(c)
-    f, s = node
-    return _grid_times(f, scale // s)
+def _grid_const(c: Fraction):
+    n = c.numerator
+    return ((lambda us: repeat(n, len(us))), c.denominator), c
 
 
-def _grid_node(expr: FunctionExpr, den: int):
-    """A Fraction for a subtree without x, else ``(fn, s)``, else None."""
-    if isinstance(expr, Var):
-        return (lambda us: us), den
-    if isinstance(expr, RationalConst):
-        return expr.value
-    if isinstance(expr, (Neg, Abs, Pow)):
-        inner = _grid_node(expr.base if isinstance(expr, Pow) else expr.operand, den)
-        if inner is None:
-            return None
-        if isinstance(expr, Pow):
-            k = expr.exponent
-            if isinstance(inner, Fraction):
-                return inner**k
-            if k == 0:
-                return Fraction(1)
-            f, s = inner
-            return (lambda us: map(pow, f(us), repeat(k))), s**k
-        if isinstance(inner, Fraction):
-            return -inner if isinstance(expr, Neg) else abs(inner)
-        f, s = inner
-        op = neg if isinstance(expr, Neg) else abs
-        return (lambda us: map(op, f(us))), s
+def _grid_fold(code):
+    f, s = code
+    return _grid_const(Fraction(next(f(range(1))), s))
 
-    left = _grid_node(expr.left, den)
-    right = _grid_node(expr.right, den)
-    if left is None or right is None:
-        return None
+
+def _grid_node(den: int, expr: FunctionExpr, path: Tuple[str, ...], kids):
+    """The grid pair for one node on the points x = u/den (see _lower)."""
     kind = type(expr)
-    if isinstance(left, Fraction) and isinstance(right, Fraction):
-        try:
-            return _GRID_FOLD[kind](left, right)
-        except ZeroDivisionError:
-            return None
+    if kind is Var:
+        return ((lambda us: us), den), None
+    if kind is RationalConst:
+        return _grid_const(expr.value)
+    (f, s), c = kids[0]
+    if kind is Pow:
+        k = expr.exponent
+        if k == 0:
+            return _grid_const(Fraction(1))
+        return ((lambda us: map(pow, f(us), repeat(k))), s**k), None
+    if kind is Neg or kind is Abs:
+        op = neg if kind is Neg else abs
+        return ((lambda us: map(op, f(us))), s), None
+    (g, t), d = kids[1]
     if kind is Div:
-        if not isinstance(right, Fraction) or right == 0:
-            return None
-        # u / c is u * (1/c); the Fraction moves c's sign to the numerator.
-        kind, right = Mul, 1 / right
+        if d is None or d == 0:
+            raise _NoColumn
+        # u / d is u * (1/d); the Fraction moves d's sign to the numerator.
+        kind, d = Mul, 1 / d
     if kind is Mul:
-        if isinstance(left, Fraction) or isinstance(right, Fraction):
-            c, (f, s) = (left, right) if isinstance(left, Fraction) else (right, left)
-            if c == 0:
-                return c
-            s *= c.denominator
-            g = gcd(c.numerator, s)
-            return _grid_times(f, c.numerator // g), s // g
-        (f, s), (g, t) = left, right
-        return (lambda us: map(mul, f(us), g(us))), s * t
-    scale = lcm(*(n.denominator if isinstance(n, Fraction) else n[1] for n in (left, right)))
-    f, g, op = _grid_column(left, scale), _grid_column(right, scale), _GRID_MAP[kind]
-    return (lambda us: map(op, f(us), g(us))), scale
+        if c is None and d is None:
+            return ((lambda us: map(mul, f(us), g(us))), s * t), None
+        if d is None:
+            d, f, s = c, g, t
+        s *= d.denominator
+        m = gcd(d.numerator, s)
+        return (_grid_times(f, d.numerator // m), s // m), None
+    scale = lcm(s, t)
+    f, g = _grid_times(f, scale // s, c), _grid_times(g, scale // t, d)
+    op = add if kind is Add else sub if kind is Sub else min if kind is Min else max
+    return ((lambda us: map(op, f(us), g(us))), scale), None
 
 
 def _compile_grid(expr: FunctionExpr, den: int):
@@ -413,18 +414,23 @@ def _compile_grid(expr: FunctionExpr, den: int):
     zero, or a subtree without x divides by zero: those trees are
     evaluated point by point, where the error names its x and node.
     """
-    node = _grid_node(expr, den)
-    if isinstance(node, Fraction):
-        c = node.numerator
-        return (lambda us: repeat(c, len(us))), node.denominator
-    return node
+    try:
+        return _lower(expr, (), partial(_grid_node, den), _grid_fold)[0]
+    except _NoColumn:
+        return None
 
 
-def _compile_float(expr: FunctionExpr, path: Tuple[str, ...]):
-    """``(fn, const)``: fn(x) in IEEE binary64, const its value without x."""
-    if isinstance(expr, Var):
+def _float_fold(fn):
+    value = fn(0.0)
+    return (lambda x: value), value
+
+
+def _float_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
+    """``(fn, const)`` for one node: fn(x) in IEEE binary64, const its value without x."""
+    kind = type(expr)
+    if kind is Var:
         return (lambda x: x), None
-    if isinstance(expr, RationalConst):
+    if kind is RationalConst:
         q = expr.value
         try:
             c = float(q)
@@ -432,39 +438,31 @@ def _compile_float(expr: FunctionExpr, path: Tuple[str, ...]):
             # Out of float range: raise at every evaluation, not at compile time.
             return (lambda x: float(q)), None
         return (lambda x: c), c
+    f = kids[0][0]
+    if kind is Neg:
+        fn = lambda x: -f(x)
+    elif kind is Abs:
+        fn = lambda x: abs(f(x))
+    elif kind is Pow:
+        k = expr.exponent
 
-    name = type(expr).__name__
-    if isinstance(expr, (Neg, Abs, Pow)):
-        f, const = _compile_float(
-            expr.base if isinstance(expr, Pow) else expr.operand, path + (name,)
-        )
-        children = (const,)
-        if isinstance(expr, Neg):
-            fn = lambda x: -f(x)
-        elif isinstance(expr, Abs):
-            fn = lambda x: abs(f(x))
-        else:
-            k = expr.exponent
-
-            def fn(x):
-                base = f(x)
-                try:
-                    return base**k
-                except OverflowError:
-                    return -math.inf if base < 0 and k % 2 == 1 else math.inf
-    elif isinstance(expr, (Add, Sub, Mul, Div, Min, Max)):
-        f, cf = _compile_float(expr.left, path + (f"{name}[0]",))
-        g, cg = _compile_float(expr.right, path + (f"{name}[1]",))
-        children = (cf, cg)
-        if isinstance(expr, Add):
+        def fn(x):
+            base = f(x)
+            try:
+                return base**k
+            except OverflowError:
+                return -math.inf if base < 0 and k % 2 == 1 else math.inf
+    else:
+        g = kids[1][0]
+        if kind is Add:
             fn = lambda x: f(x) + g(x)
-        elif isinstance(expr, Sub):
+        elif kind is Sub:
             fn = lambda x: f(x) - g(x)
-        elif isinstance(expr, Mul):
+        elif kind is Mul:
             fn = lambda x: f(x) * g(x)
-        elif isinstance(expr, Min):
+        elif kind is Min:
             fn = lambda x: min(f(x), g(x))
-        elif isinstance(expr, Max):
+        elif kind is Max:
             fn = lambda x: max(f(x), g(x))
         else:
             div_path = path + ("Div",)
@@ -475,16 +473,10 @@ def _compile_float(expr: FunctionExpr, path: Tuple[str, ...]):
                 if den == 0:
                     raise EvalError(x, div_path)
                 return num / den
-    else:
-        raise TypeError(f"not a function expression: {expr!r}")
+    return fn, None
 
-    if None in children:
-        return fn, None
-    try:
-        value = fn(0.0)
-    except EvalError:
-        return fn, None
-    return (lambda x: value), value
+
+_compile_float = partial(_lower, node=_float_node, fold=_float_fold)
 
 
 def _compiled(expr: FunctionExpr, attr: str, compile_):

@@ -166,6 +166,22 @@ class TestRun:
         assert "division by zero" in err
 
     @pytest.mark.parametrize(
+        "function",
+        ["(" * 300 + "x" + ")" * 300, "-" * 500 + "x", "-" * 3000 + "x"],
+        ids=["300-parentheses", "500-minus-signs", "3000-minus-signs"],
+    )
+    def test_nesting_too_deep_exits_2(self, function, tmp_path, capsys):
+        # The parser takes four frames per parenthesis; 500 minus signs
+        # parse but are too deep to print.
+        out = tmp_path / "deep.jsonl"
+        code, stdout, err = run_cli(
+            ["run", f"-f={function}", "--a=-1", "--b=1", "-e", "1/3", "--out", out], capsys
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("input nested too deeply: ") and err.count("\n") == 1
+        assert stdout == ""
+
+    @pytest.mark.parametrize(
         "function,bounds,a,b",
         [
             ("x+1/3", ["--a", "-3/2", "--b", "1"], F(-3, 2), F(1)),
@@ -445,6 +461,14 @@ class TestVerify:
         code, _, err = run_cli(["verify", "-t", bad, "-f", "x"], capsys)
         assert code == EXIT_USAGE
         assert "trace:" in err
+
+    def test_deeply_nested_trace_line_is_usage_error(self, tmp_path, capsys):
+        # json's decoder recurses once per nested array.
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text(("[" * 100_000 + "]" * 100_000 + "\n") * 3)
+        code, _, err = run_cli(["verify", "-t", bad, "-f", "x"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("input nested too deeply: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["double", ["exact"], None, 1])
     def test_unknown_backend_is_usage_error(self, trace_path, capsys, name):

@@ -455,6 +455,9 @@ class TestTraceJsonl:
             lambda lines: [lines[0].replace('"1/3"', "0.3333")] + lines[1:],
             lambda lines: [lines[0].replace('"max_steps":2', '"max_steps":"two"')] + lines[1:],
             lambda lines: ["[1,2,3]"] + lines[1:],
+            # A step index must be a JSON integer: true would be written back as True.
+            lambda lines: [lines[0]] + [lines[1].replace('"n":1', '"n":true')] + lines[2:],
+            lambda lines: [lines[0]] + [lines[1].replace('"n":1', '"n":1.0')] + lines[2:],
         ],
     )
     def test_malformed_traces_are_refused(self, sample, mangle):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from interpbisect import numerics
 from interpbisect.funcdsl import _compile_exact, _compile_grid
+from interpbisect.verifier import grid_oracle
 from interpbisect import (
     Abs,
     Add,
@@ -578,6 +579,19 @@ class TestCompiledEvaluators:
                 evaluate(expr, point)
             assert err.value.path == path
             assert err.value.x == point and type(err.value.x) is type(point)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda tree: eval_exact(tree, F(1, 3)),
+            lambda tree: eval_float(tree, 0.25),
+            lambda tree: grid_oracle(tree, F(0), F(1), F(1, 10), 8),
+        ],
+        ids=["eval_exact", "eval_float", "grid_oracle"],
+    )
+    def test_malformed_tree_raises_type_error(self, evaluate):
+        with pytest.raises(TypeError, match=r"^not a function expression: 'x'$"):
+            evaluate(Add(X, "x"))
 
     def test_compiling_leaves_the_tree_unchanged(self):
         tree = parse(SAMPLE_TEXT)
