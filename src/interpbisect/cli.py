@@ -10,6 +10,7 @@ a run, and 4 when verification finds a claim violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -53,7 +54,6 @@ __all__ = [
     "PlotError",
     "PlotSpec",
     "render_trace_svg",
-    "build_parser",
     "main",
 ]
 
@@ -336,7 +336,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = _ArgumentParser(
         prog="interpbisect",
         description=(
@@ -420,10 +422,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     f = parse(args.function)
     config = _make_config(args, WeightMode(args.mode), args.stop_early)
     trace = run(config, f)
+    # Rendered before the trace is written: input too deep to print leaves no file.
+    shown = to_text(f)
     args.out.write_text(trace_to_jsonl(trace), encoding="utf-8")
 
     backend = config.backend
-    print(f"function: {to_text(f)}")
+    print(f"function: {shown}")
     count = len(trace.steps)
     print(f"wrote {count} step{'s' if count != 1 else ''} to {args.out}")
     if trace.stopped_early_at is not None:
@@ -564,9 +568,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 # Entry point
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

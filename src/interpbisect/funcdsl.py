@@ -37,7 +37,7 @@ from functools import partial
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Iterator, Tuple, Union
+from typing import List, Tuple, Union
 
 from .numerics import _aligned, reduced, scalar_text
 
@@ -530,36 +530,32 @@ _TOKEN_RE = re.compile(
 _END = "end of input"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'name', 'int', 'decimal', 'op', 'end'
-    text: str
-    pos: int
+def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """``(kind, text, pos)`` per token, ending with ``("end", "", len(text))``.
 
-    def describe(self) -> str:
-        if self.kind == "end":
-            return _END
-        return repr(self.text)
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
+    A kind is 'name', 'int' or 'decimal', or the operator itself.  A
+    match that does not start where the last one ended means no token
+    starts there: the lexer error names that character.
+    """
+    tokens = []
     pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(pos, frozenset({"a token"}), repr(text[pos]))
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != pos:
+            break
         pos = match.end()
-        if match.lastgroup == "ws":
+        kind = match.lastgroup
+        if kind == "ws":
             continue
         value = match.group()
-        if match.lastgroup == "name":
-            yield _Token("name", value, match.start())
-        elif match.lastgroup == "number":
+        if kind == "number":
             kind = "decimal" if "." in value else "int"
-            yield _Token(kind, value, match.start())
-        else:
-            yield _Token("op", value, match.start())
-    yield _Token("end", "", len(text))
+        elif kind == "op":
+            kind = value
+        tokens.append((kind, value, match.start()))
+    if pos != len(text):
+        raise ParseError(pos, frozenset({"a token"}), repr(text[pos]))
+    tokens.append(("end", "", pos))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -570,138 +566,111 @@ _CALLS = {"min": Min, "max": Max}
 _ATOM_STARTERS = frozenset({"'x'", "a number", "'('", "'min'", "'max'", "'abs'"})
 
 
+def _starts_atom(kind: str, text: str) -> bool:
+    return kind in ("int", "decimal", "(") or (kind == "name" and text in ("x", "min", "max", "abs"))
+
+
 class _Parser:
-    """Recursive descent over the grammar in the module docstring."""
+    """Recursive descent over the grammar in the module docstring.
+
+    ``self.tokens[self.index]`` is the next token.  Only a token other
+    than the final 'end' is ever consumed, so the index stays in range.
+    """
 
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        i = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "end":
-            self.index += 1
-        return tok
-
     def fail(self, expected) -> "ParseError":
-        tok = self.peek()
-        raise ParseError(tok.pos, frozenset(expected), tok.describe())
+        kind, text, pos = self.tokens[self.index]
+        raise ParseError(pos, frozenset(expected), _END if kind == "end" else repr(text))
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
-            return self.advance()
-        self.fail({f"'{op}'"})
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
-
-    # Implicit multiplication: a factor beginning right after another
-    # factor, with no operator in between.  '-' is excluded so 'a-b'
-    # stays subtraction.
-    def starts_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("int", "decimal"):
-            return True
-        if tok.kind == "name":
-            return tok.text in ("x", "min", "max", "abs")
-        return tok.kind == "op" and tok.text == "("
+    def expect(self, op: str) -> None:
+        if self.tokens[self.index][0] != op:
+            self.fail({f"'{op}'"})
+        self.index += 1
 
     def parse(self) -> FunctionExpr:
         expr = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
+        if self.tokens[self.index][0] != "end":
             self.fail({"'+'", "'-'", "'*'", "'/'", _END})
         return expr
 
     def expr(self) -> FunctionExpr:
         node = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
+        while True:
+            op = self.tokens[self.index][0]
+            if op != "+" and op != "-":
+                return node
+            self.index += 1
             rhs = self.term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
 
     def term(self) -> FunctionExpr:
-        node = self.factor(allow_ratio=True)
+        node = self.factor(True)
         while True:
-            if self.at_op("*", "/"):
-                op = self.advance().text
+            op, text, _ = self.tokens[self.index]
+            if op == "*" or op == "/":
+                self.index += 1
                 # A bare 'p/q' reads as one constant only where that
                 # cannot change a left-associative chain's value, i.e.
                 # never as the right operand of '/'.
-                rhs = self.factor(allow_ratio=(op == "*"))
+                rhs = self.factor(op == "*")
                 node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-            elif self.starts_atom():
-                node = Mul(node, self.factor(allow_ratio=False))
+            # Implicit multiplication: a factor beginning right after
+            # another factor, with no operator in between.  '-' is
+            # excluded so 'a-b' stays subtraction.
+            elif _starts_atom(op, text):
+                node = Mul(node, self.factor(False))
             else:
                 return node
 
     def factor(self, allow_ratio: bool) -> FunctionExpr:
-        if self.at_op("-"):
-            self.advance()
-            return Neg(self.factor(allow_ratio=allow_ratio))
-        node = self.atom(allow_ratio=allow_ratio)
-        if self.at_op("^"):
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
+        if self.tokens[self.index][0] == "-":
+            self.index += 1
+            return Neg(self.factor(allow_ratio))
+        node = self.atom(allow_ratio)
+        if self.tokens[self.index][0] == "^":
+            self.index += 1
+            kind, text, _ = self.tokens[self.index]
+            if kind != "int":
                 self.fail({"a non-negative integer exponent"})
-            self.advance()
-            node = Pow(node, int(tok.text))
+            self.index += 1
+            node = Pow(node, int(text))
         return node
 
     def atom(self, allow_ratio: bool) -> FunctionExpr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
+        tokens = self.tokens
+        i = self.index
+        kind, text, _ = tokens[i]
+        if not _starts_atom(kind, text):
+            self.fail(_ATOM_STARTERS)
+        self.index = i = i + 1
+        if kind == "int":
             # Ratio literal: INT '/' INT with positive denominator, not
             # followed by '^' (so '3/4^2' keeps conventional precedence).
-            if (
-                allow_ratio
-                and self.at_op("/")
-                and self.peek(1).kind == "int"
-                and int(self.peek(1).text) > 0
-                and not (self.peek(2).kind == "op" and self.peek(2).text == "^")
-            ):
-                self.advance()
-                den = self.advance()
-                return RationalConst(Fraction(int(tok.text), int(den.text)))
-            return RationalConst(Fraction(int(tok.text)))
-        if tok.kind == "decimal":
-            self.advance()
+            if allow_ratio and tokens[i][0] == "/" and tokens[i + 1][0] == "int":
+                den = int(tokens[i + 1][1])
+                if den > 0 and tokens[i + 2][0] != "^":
+                    self.index = i + 2
+                    return RationalConst(Fraction(int(text), den))
+            return RationalConst(Fraction(int(text)))
+        if kind == "decimal":
             # Fraction parses decimal text exactly: '0.1' -> 1/10.
-            return RationalConst(Fraction(tok.text))
-        if tok.kind == "name":
-            if tok.text == "x":
-                self.advance()
-                return Var()
-            if tok.text in _CALLS:
-                self.advance()
-                self.expect_op("(")
-                left = self.expr()
-                self.expect_op(",")
-                right = self.expr()
-                self.expect_op(")")
-                return _CALLS[tok.text](left, right)
-            if tok.text == "abs":
-                self.advance()
-                self.expect_op("(")
-                operand = self.expr()
-                self.expect_op(")")
-                return Abs(operand)
-            self.fail(_ATOM_STARTERS)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        self.fail(_ATOM_STARTERS)
+            return RationalConst(Fraction(text))
+        if text == "x":
+            return Var()
+        # What is left: '(' expr ')', min/max '(' expr ',' expr ')', abs '(' expr ')'.
+        if kind == "name":
+            self.expect("(")
+        node = self.expr()
+        if text in _CALLS:
+            self.expect(",")
+            node = _CALLS[text](node, self.expr())
+        elif text == "abs":
+            node = Abs(node)
+        self.expect(")")
+        return node
 
 
 def parse(text: str) -> FunctionExpr:

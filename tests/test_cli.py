@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from interpbisect import eval_exact, trace_from_jsonl, verifier
+from interpbisect import cli, eval_exact, trace_from_jsonl, verifier
 from interpbisect.cli import EXIT_CLAIM, EXIT_OK, EXIT_SIGN, EXIT_USAGE, main
 from reference import SAMPLE_TEXT
 
@@ -180,6 +180,7 @@ class TestRun:
         assert code == EXIT_USAGE
         assert err.startswith("input nested too deeply: ") and err.count("\n") == 1
         assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "function,bounds,a,b",
@@ -678,6 +679,46 @@ class TestBeyondFloatRange:
         code, _, err = run_cli(args + ["--out", tmp_path / "out"], capsys)
         assert code == EXIT_USAGE
         assert err.startswith("float range: ") and err.count("\n") == 1
+
+
+class TestInProcessCalls:
+    """``main`` shares one argument parser between calls; no call sees another's."""
+
+    def session(self, root, order, capsys):
+        root.mkdir()
+        exact, floats = root / "exact.jsonl", root / "float.jsonl"
+        problem = ["-f", SAMPLE_TEXT, "--a", "-1", "--b", "1", "-e", "1/3"]
+        later = {
+            "verify": ["verify", "-t", exact, "-f", SAMPLE_TEXT],
+            "plot": ["plot", "-t", floats, "-f", SAMPLE_TEXT, "--out", root / "plot.svg"],
+            "compare": ["compare", *problem, "--csv", root / "compare.csv"],
+        }
+        calls = {
+            "no epsilon": ["run", "-f", SAMPLE_TEXT, "--a", "-1", "--b", "1"],
+            "unknown flag": [*RUN_SAMPLE, "--bogus"],
+            "version": ["--version"],
+            "float run": ["run", *problem, "--backend", "float", "--out", floats],
+            "exact run": ["run", *problem, "--out", exact],
+        }
+        calls.update((name, later[name]) for name in order)
+        results = {}
+        for name, argv in calls.items():
+            code, out, err = run_cli(argv, capsys)
+            results[name] = (code, out.replace(str(root), "<dir>"), err)
+        assert trace_from_jsonl(exact.read_text()).config.backend.name == "exact"
+        files = {path.name: path.read_bytes() for path in root.iterdir()}
+        return results, files
+
+    def test_outputs_do_not_depend_on_earlier_calls(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        first = self.session(tmp_path / "first", ("verify", "plot", "compare"), capsys)
+        second = self.session(tmp_path / "second", ("compare", "plot", "verify"), capsys)
+        assert cli._parser.cache_info().misses == 1
+        assert first == second
+        codes = {name: code for name, (code, _, _) in first[0].items()}
+        assert codes.pop("no epsilon") == codes.pop("unknown flag") == EXIT_USAGE
+        assert set(codes.values()) == {EXIT_OK}
+        assert sorted(first[1]) == ["compare.csv", "exact.jsonl", "float.jsonl", "plot.svg"]
 
 
 class TestProcessLevel:

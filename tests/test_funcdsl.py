@@ -44,6 +44,8 @@ def C(*args) -> RationalConst:
     return RationalConst(F(*args))
 
 
+ATOM_STARTERS = {"'x'", "a number", "'('", "'min'", "'max'", "'abs'"}
+
 SAMPLE_TREE = Min(
     Div(Add(C(1), Mul(C(6), Pow(X, 2))), C(7)),
     Add(C(8), Mul(C(9), X)),
@@ -130,6 +132,39 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("x)")
         assert err.value.offset == 1
+
+    @pytest.mark.parametrize(
+        "text,outcome",
+        [
+            ("3 $ x", (2, {"a token"}, "'$'")),
+            ("x)", (1, {"'+'", "'-'", "'*'", "'/'", "end of input"}, "')'")),
+            ("min(x", (5, {"','"}, "end of input")),
+            ("min(x,", (6, ATOM_STARTERS, "end of input")),
+            ("abs(", (4, ATOM_STARTERS, "end of input")),
+            ("abs x", (4, {"'('"}, "'x'")),
+            ("y", (0, ATOM_STARTERS, "'y'")),
+            ("x^", (2, {"a non-negative integer exponent"}, "end of input")),
+            ("x^1.5", (2, {"a non-negative integer exponent"}, "'1.5'")),
+            ("3/", (2, ATOM_STARTERS, "end of input")),
+            ("(x,)", (2, {"')'"}, "','")),
+            ("", (0, ATOM_STARTERS, "end of input")),
+            ("\u0663x", Mul(C(3), X)),  # ARABIC-INDIC DIGIT THREE
+            ("\tx\n+ 1", Add(X, C(1))),
+            ("x\n\t", X),
+            ("3/4^2", Div(C(3), Pow(C(4), 2))),
+            (".5x", Mul(C(1, 2), X)),
+        ],
+    )
+    def test_error_triple_or_tree(self, text, outcome):
+        if not isinstance(outcome, tuple):
+            assert parse(text) == outcome
+            return
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        offset, expected, found = outcome
+        assert (err.value.offset, err.value.expected, err.value.found) == (
+            offset, frozenset(expected), found
+        )
 
 
 class TestNodeValidation:
