@@ -19,18 +19,17 @@ continuously between those extremes.  The width identity
 
 holds exactly at every step regardless of the weights, which is what the
 verifier checks mechanically on exact traces.  The weight map is
-1/epsilon-Lipschitz in ``f(c_n)``, so midpoints depend continuously on
-the function values; with the classical 0/1 weight (``d_n = 0`` iff
-``f(c_n) < 0``) the recurrence reproduces textbook bisection exactly.
+1/epsilon-Lipschitz in ``f(c_n)``, so changing one sampled value f(c_j)
+moves each later midpoint by at most |change| (b - a) / (epsilon 2^j);
+with the classical 0/1 weight (``d_n = 0`` iff ``f(c_n) < 0``) the
+recurrence reproduces textbook bisection exactly.
 
 The recurrence runs in one of two backends, :data:`EXACT` (rationals,
 no rounding anywhere) and :data:`FLOAT64` (IEEE binary64).  Each owns
-its scalar type, its evaluator, its trace text, and the midpoint, weight
-and window update of one step.  :func:`run` takes the backend its config
-names and keeps the window in locals; only the float window update
-checks a_n < b_n, which the width identity guarantees exactly.
-:class:`IterationState` serves :func:`step`.  :func:`midpoint`, the
-weights and :func:`step` compute in floats when any operand is a float.
+its scalar type, evaluator and trace text; its ``midpoint``, two weights
+and ``next_window`` are the single-step API.  :func:`run` keeps the
+config's backend and the window in locals; only the float window
+update checks a_n < b_n, which the width identity guarantees exactly.
 
 Runs record every step into a :class:`Trace`, which serializes to JSONL:
 one config line, one line per step, one final line.  Exact scalars are
@@ -60,17 +59,11 @@ __all__ = [
     "BACKENDS",
     "WeightMode",
     "ProblemConfig",
-    "IterationState",
     "StepRecord",
     "Trace",
     "InvalidTolerance",
-    "InvalidWeight",
     "SignPreconditionViolated",
     "TraceFormatError",
-    "midpoint",
-    "interpolation_weight",
-    "classical_weight",
-    "step",
     "cauchy_bound",
     "run",
     "trace_to_jsonl",
@@ -85,10 +78,6 @@ _ONE = Fraction(1)
 
 class InvalidTolerance(ValueError):
     """Tolerance must be strictly positive."""
-
-
-class InvalidWeight(ValueError):
-    """Step weights live in [0, 1]."""
 
 
 class SignPreconditionViolated(ValueError):
@@ -252,6 +241,7 @@ class FloatBackend:
 
     def interpolation_weight(self, f_c: float, epsilon: float) -> float:
         """The interpolated weight; the caller guarantees ``epsilon > 0``."""
+        # Exactly 0 or 1 once |f_c| >= epsilon/2: 0.5 and 1.0 are exact, rounding monotone.
         return max(0.0, min(0.5 + f_c / epsilon, 1.0))
 
     def classical_weight(self, f_c: float) -> float:
@@ -261,7 +251,8 @@ class FloatBackend:
         """``(a_{n+1}, b_{n+1})``; ValueError once rounding closes the window."""
         shift = d * width / 2**n
         a_next, b_next = c - shift, b - shift
-        _check_window(n + 1, a_next, b_next)
+        if not a_next < b_next:
+            raise ValueError(f"degenerate interval at step {n + 1}: [{a_next}, {b_next}]")
         return a_next, b_next
 
 
@@ -270,14 +261,6 @@ FLOAT64 = FloatBackend()
 
 # Backends by the name the CLI and the trace format use.
 BACKENDS = {backend.name: backend for backend in (EXACT, FLOAT64)}
-
-
-def _backend_of(*values: Scalar) -> ExactBackend | FloatBackend:
-    """FLOAT64 if any of ``values`` is a float, else EXACT.
-
-    Mixed operands compute in floats, as Python's own operators do.
-    """
-    return FLOAT64 if any(isinstance(v, float) for v in values) else EXACT
 
 
 def _require_int(name: str, value) -> None:
@@ -336,28 +319,6 @@ class ProblemConfig:
 
 
 @dataclass(frozen=True)
-class IterationState:
-    """:func:`step`'s interval at step ``n``, of width (b - a) / 2^(n-1)."""
-
-    n: int
-    a_n: Scalar
-    b_n: Scalar
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"step index starts at 1, got {self.n}")
-        _check_window(self.n, self.a_n, self.b_n)
-
-
-def _check_window(n: int, a_n: Scalar, b_n: Scalar) -> None:
-    """Raise ValueError naming step ``n`` unless ``a_n < b_n``."""
-    if not a_n < b_n:
-        raise ValueError(
-            f"degenerate interval at step {n}: [{scalar_text(a_n)}, {scalar_text(b_n)}]"
-        )
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """Everything observable about one step."""
 
@@ -390,51 +351,6 @@ class Trace:
     def __post_init__(self) -> None:
         if not self.steps:
             raise ValueError("a trace records at least one step")
-
-
-def midpoint(state: IterationState) -> Scalar:
-    """Midpoint of the current interval."""
-    return _backend_of(state.a_n, state.b_n).midpoint(state.a_n, state.b_n)
-
-
-def interpolation_weight(f_c: Scalar, epsilon: Scalar) -> Scalar:
-    """``max(0, min(1/2 + f_c / epsilon, 1))``.
-
-    Saturates to exactly 1 once f_c >= epsilon/2 and to exactly 0 once
-    f_c <= -epsilon/2; both saturation points are exact in the float
-    backend too, because 0.5 and 1.0 are representable and rounding to
-    nearest is monotone.
-
-    Raises:
-        InvalidTolerance: if ``epsilon <= 0``.
-    """
-    if not epsilon > 0:
-        raise InvalidTolerance(f"epsilon must be positive, got {scalar_text(epsilon)}")
-    return _backend_of(f_c, epsilon).interpolation_weight(f_c, epsilon)
-
-
-def classical_weight(f_c: Scalar) -> Scalar:
-    """Textbook sign rule as a weight: 0 if f_c < 0, else 1."""
-    return _backend_of(f_c).classical_weight(f_c)
-
-
-def step(state: IterationState, d: Scalar, original_width: Scalar) -> IterationState:
-    """Advance one step with weight ``d``.
-
-    ``original_width`` is b - a from step 1; threading it explicitly
-    keeps the shift (b - a) / 2^n independent of any accumulated
-    endpoint error in the float backend.
-
-    Raises:
-        InvalidWeight: if ``d`` is outside [0, 1].
-    """
-    if not (0 <= d <= 1):
-        raise InvalidWeight(f"weight must lie in [0, 1], got {scalar_text(d)}")
-    backend = _backend_of(state.a_n, state.b_n, d, original_width)
-    c = backend.midpoint(state.a_n, state.b_n)
-    return IterationState(
-        state.n + 1, *backend.next_window(state.n, state.b_n, c, d, original_width)
-    )
 
 
 def cauchy_bound(m: int, original_width: Scalar) -> Scalar:
@@ -552,8 +468,10 @@ def trace_from_jsonl(text: str) -> Trace:
 
     Raises:
         TraceFormatError: on any structural problem: bad JSON, missing
-            keys, wrong scalar encodings, or step indices that are not
-            consecutive integers.
+            keys, wrong scalar encodings, step indices that are not
+            consecutive integers, or a step count other than
+            ``stopped_early_at`` (which needs ``stop_early``) or else
+            ``max_steps``.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 3:
@@ -612,6 +530,13 @@ def trace_from_jsonl(text: str) -> Trace:
     stopped = tail.get("stopped_early_at")
     if stopped is not None and (not isinstance(stopped, int) or isinstance(stopped, bool)):
         raise TraceFormatError(f"line {lineno}: stopped_early_at must be an integer")
+    count, most = len(records), config.max_steps
+    if stopped is None and count != most:
+        raise TraceFormatError(f"line {lineno}: {count} steps, max_steps {most}, no stopped_early_at")
+    if stopped is not None and not config.stop_early:
+        raise TraceFormatError(f"line {lineno}: stopped_early_at without stop_early")
+    if stopped is not None and not stopped == count <= most:
+        raise TraceFormatError(f"line {lineno}: {count} steps, max_steps {most}, stopped_early_at {stopped}")
     try:
         return Trace(
             config=config,

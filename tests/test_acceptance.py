@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from interpbisect import (
-    IterationState,
+    EXACT,
+    FLOAT64,
     ProblemConfig,
     Trace,
     Violation,
@@ -34,10 +35,7 @@ from interpbisect import (
     eval_exact,
     extract_witness,
     grid_oracle,
-    interpolation_weight,
-    midpoint,
     run,
-    step,
 )
 from interpbisect.cli import PlotSpec, render_trace_svg
 
@@ -250,6 +248,14 @@ def test_criterion_06_structural_invariants(corpus_bundle):
 # the next midpoint by at most |change| * (b - a) / (epsilon 2^n),
 # exactly over rationals and within 1e-9 over floats.
 
+def _next_midpoint(bk, n, a, width, f_c, epsilon):
+    """c_{n+1} after the step-n window [a, a + width / 2^(n-1)] samples ``f_c``."""
+    b = a + width / 2 ** (n - 1)
+    return bk.midpoint(
+        *bk.next_window(n, b, bk.midpoint(a, b), bk.interpolation_weight(f_c, epsilon), width)
+    )
+
+
 def test_criterion_07_step_lipschitz_in_sample_value():
     rng = random.Random(_CONTINUITY_SEED)
     exact_bad = 0
@@ -260,9 +266,7 @@ def test_criterion_07_step_lipschitz_in_sample_value():
         epsilon = Fraction(rng.randint(1, 24), rng.randint(1, 24))
         f_1 = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
         f_2 = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-        state = IterationState(n=n, a_n=a, b_n=a + width / 2 ** (n - 1))
-        c_1 = midpoint(step(state, interpolation_weight(f_1, epsilon), width))
-        c_2 = midpoint(step(state, interpolation_weight(f_2, epsilon), width))
+        c_1, c_2 = (_next_midpoint(EXACT, n, a, width, f, epsilon) for f in (f_1, f_2))
         if abs(c_1 - c_2) > abs(f_1 - f_2) * width / (epsilon * 2**n):
             exact_bad += 1
 
@@ -274,9 +278,7 @@ def test_criterion_07_step_lipschitz_in_sample_value():
         epsilon = rng.uniform(0.05, 24.0)
         f_1 = rng.uniform(-50.0, 50.0)
         f_2 = rng.uniform(-50.0, 50.0)
-        state = IterationState(n=n, a_n=a, b_n=a + width / 2 ** (n - 1))
-        c_1 = midpoint(step(state, interpolation_weight(f_1, epsilon), width))
-        c_2 = midpoint(step(state, interpolation_weight(f_2, epsilon), width))
+        c_1, c_2 = (_next_midpoint(FLOAT64, n, a, width, f, epsilon) for f in (f_1, f_2))
         if abs(c_1 - c_2) > abs(f_1 - f_2) * width / (epsilon * 2**n) + 1e-9:
             float_bad += 1
 

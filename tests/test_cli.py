@@ -463,6 +463,15 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "trace:" in err
 
+    def test_truncated_trace_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert run_cli(RUN_SAMPLE + ["--max-steps", "5", "--out", out], capsys)[0] == EXIT_OK
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join(lines[:5] + lines[6:]) + "\n")  # step 5 removed
+        code, stdout, err = run_cli(["verify", "-t", out, "-f", SAMPLE_TEXT], capsys)
+        assert code == EXIT_USAGE and stdout == ""
+        assert "trace: line 6: 4 steps, max_steps 5, no stopped_early_at" in err
+
     def test_deeply_nested_trace_line_is_usage_error(self, tmp_path, capsys):
         # json's decoder recurses once per nested array.
         bad = tmp_path / "deep.jsonl"

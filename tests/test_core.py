@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interpbisect
 from interpbisect import (
     EXACT,
     FLOAT64,
     InvalidTolerance,
-    InvalidWeight,
-    IterationState,
     ProblemConfig,
     SignPreconditionViolated,
     StepRecord,
@@ -24,13 +23,9 @@ from interpbisect import (
     TraceFormatError,
     WeightMode,
     cauchy_bound,
-    classical_weight,
     format_rational,
-    interpolation_weight,
-    midpoint,
     parse,
     run,
-    step,
     trace_from_jsonl,
     trace_to_jsonl,
 )
@@ -46,74 +41,45 @@ def sample():
 
 class TestMidpoint:
     def test_examples(self):
-        assert midpoint(IterationState(1, F(-1), F(1))) == F(0)
-        assert midpoint(IterationState(2, F(-13, 14), F(1, 14))) == F(-3, 7)
-        assert midpoint(IterationState(1, F(0), F(1))) == F(1, 2)
+        assert EXACT.midpoint(F(-1), F(1)) == F(0)
+        assert EXACT.midpoint(F(-13, 14), F(1, 14)) == F(-3, 7)
+        assert EXACT.midpoint(F(0), F(1)) == F(1, 2)
 
     def test_float(self):
-        assert midpoint(IterationState(1, 0.0, 1.0)) == 0.5
-
-    def test_operand_types_pick_the_backend(self):
-        # ints are exact rationals; any float operand makes the arithmetic float
-        state = IterationState(1, 0, 1)
-        assert type(midpoint(state)) is F and midpoint(state) == F(1, 2)
-        assert type(step(state, 1, 1).b_n) is F
-        mixed = IterationState(1, F(0), 1.0)
-        assert type(midpoint(mixed)) is float and midpoint(mixed) == 0.5
-        assert type(step(mixed, F(1, 2), 1.0).a_n) is float
-        assert type(interpolation_weight(F(1, 8), 0.5)) is float
-        assert interpolation_weight(F(1, 8), 0.5) == 0.75
-        assert type(classical_weight(-1)) is F
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            IterationState(0, F(-1), F(1))
-        with pytest.raises(ValueError):
-            IterationState(1, F(1), F(1))
-        with pytest.raises(ValueError):
-            IterationState(1, F(2), F(1))
+        assert FLOAT64.midpoint(0.0, 1.0) == 0.5
 
     def test_degenerate_interval_message(self):
+        # Only the float window update can close the window: in exact
+        # arithmetic the width identity keeps b_n - a_n = (b - a) / 2^(n-1) > 0.
         with pytest.raises(ValueError) as err:
-            IterationState(3, F(2), F(1, 2))
-        assert str(err.value) == "degenerate interval at step 3: [2, 1/2]"
-        big = F(10**5000 + 1, 3)
-        with pytest.raises(ValueError) as err:
-            IterationState(3, big, big)
-        text = format_rational(big)
-        assert str(err.value) == f"degenerate interval at step 3: [{text}, {text}]"
+            FLOAT64.next_window(2, 1.0, 1.0, 0.0, 2.0)
+        assert str(err.value) == "degenerate interval at step 3: [1.0, 1.0]"
 
 
 class TestWeights:
     def test_interpolation_examples(self):
-        assert interpolation_weight(F(1, 7), F(1, 3)) == F(13, 14)
-        assert interpolation_weight(F(1, 7), F(1, 2)) == F(11, 14)
-        assert interpolation_weight(F(0), F(1, 3)) == F(1, 2)
+        assert EXACT.interpolation_weight(F(1, 7), F(1, 3)) == F(13, 14)
+        assert EXACT.interpolation_weight(F(1, 7), F(1, 2)) == F(11, 14)
+        assert EXACT.interpolation_weight(F(0), F(1, 3)) == F(1, 2)
 
     def test_saturation_is_exact_at_half_epsilon(self):
         eps = F(1, 3)
-        assert interpolation_weight(eps / 2, eps) == F(1)
-        assert interpolation_weight(-eps / 2, eps) == F(0)
-        assert interpolation_weight(eps, eps) == F(1)
-        assert interpolation_weight(-5, eps) == F(0)
+        assert EXACT.interpolation_weight(eps / 2, eps) == F(1)
+        assert EXACT.interpolation_weight(-eps / 2, eps) == F(0)
+        assert EXACT.interpolation_weight(eps, eps) == F(1)
+        assert EXACT.interpolation_weight(F(-5), eps) == F(0)
 
     def test_saturation_is_exact_in_float_too(self):
-        assert interpolation_weight(0.25, 0.5) == 1.0
-        assert interpolation_weight(-0.25, 0.5) == 0.0
-        assert interpolation_weight(0.1, 0.5) == 0.7
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(InvalidTolerance):
-            interpolation_weight(F(1), F(0))
-        with pytest.raises(InvalidTolerance):
-            interpolation_weight(0.1, -0.5)
+        assert FLOAT64.interpolation_weight(0.25, 0.5) == 1.0
+        assert FLOAT64.interpolation_weight(-0.25, 0.5) == 0.0
+        assert FLOAT64.interpolation_weight(0.1, 0.5) == 0.7
 
     def test_classical(self):
-        assert classical_weight(F(-3, 10)) == F(0)
-        assert classical_weight(F(0)) == F(1)
-        assert classical_weight(F(1, 7)) == F(1)
-        assert classical_weight(-0.5) == 0.0
-        assert classical_weight(0.0) == 1.0
+        assert EXACT.classical_weight(F(-3, 10)) == F(0)
+        assert EXACT.classical_weight(F(0)) == F(1)
+        assert EXACT.classical_weight(F(1, 7)) == F(1)
+        assert FLOAT64.classical_weight(-0.5) == 0.0
+        assert FLOAT64.classical_weight(0.0) == 1.0
 
     @given(
         st.fractions(min_value=-10, max_value=10, max_denominator=200),
@@ -121,10 +87,10 @@ class TestWeights:
     )
     @settings(max_examples=300)
     def test_interpolation_range_and_agreement(self, f_c, eps):
-        d = interpolation_weight(f_c, eps)
+        d = EXACT.interpolation_weight(f_c, eps)
         assert F(0) <= d <= F(1)
         if abs(f_c) >= eps / 2:
-            assert d == classical_weight(f_c)
+            assert d == EXACT.classical_weight(f_c)
 
     @given(
         st.fractions(min_value=-10, max_value=10, max_denominator=100),
@@ -133,35 +99,27 @@ class TestWeights:
     )
     @settings(max_examples=300)
     def test_interpolation_lipschitz_in_f(self, u, v, eps):
-        du = interpolation_weight(u, eps)
-        dv = interpolation_weight(v, eps)
+        du = EXACT.interpolation_weight(u, eps)
+        dv = EXACT.interpolation_weight(v, eps)
         assert abs(du - dv) <= abs(u - v) / eps
         if u <= v:
             assert du <= dv
 
 
+def _step_from_unit_window(d):
+    """The step-2 window after [-1, 1] with weight ``d``."""
+    return EXACT.next_window(1, F(1), EXACT.midpoint(F(-1), F(1)), d, F(2))
+
+
 class TestStep:
     def test_left_half_when_saturated_high(self):
-        state = IterationState(1, F(-1), F(1))
-        nxt = step(state, F(1), F(2))
-        assert (nxt.n, nxt.a_n, nxt.b_n) == (2, F(-1), F(0))
+        assert _step_from_unit_window(F(1)) == (F(-1), F(0))
 
     def test_right_half_when_saturated_low(self):
-        state = IterationState(1, F(-1), F(1))
-        nxt = step(state, F(0), F(2))
-        assert (nxt.n, nxt.a_n, nxt.b_n) == (2, F(0), F(1))
+        assert _step_from_unit_window(F(0)) == (F(0), F(1))
 
     def test_interior_weight_slides_the_window(self):
-        state = IterationState(1, F(-1), F(1))
-        nxt = step(state, F(13, 14), F(2))
-        assert (nxt.n, nxt.a_n, nxt.b_n) == (2, F(-13, 14), F(1, 14))
-
-    def test_weight_validation(self):
-        state = IterationState(1, F(-1), F(1))
-        with pytest.raises(InvalidWeight):
-            step(state, F(3, 2), F(2))
-        with pytest.raises(InvalidWeight):
-            step(state, F(-1, 10), F(2))
+        assert _step_from_unit_window(F(13, 14)) == (F(-13, 14), F(1, 14))
 
     @given(
         st.integers(min_value=1, max_value=10),
@@ -171,13 +129,13 @@ class TestStep:
     )
     @settings(max_examples=300)
     def test_every_step_halves_and_nests(self, n, a_n, width, d):
-        state = IterationState(n, a_n, a_n + width / 2 ** (n - 1))
-        nxt = step(state, d, width)
-        assert nxt.b_n - nxt.a_n == width / 2**n  # exact halving
-        assert state.a_n <= nxt.a_n and nxt.b_n <= state.b_n  # nesting
-        c = midpoint(state)
+        b_n = a_n + width / 2 ** (n - 1)
+        c = EXACT.midpoint(a_n, b_n)
+        a_next, b_next = EXACT.next_window(n, b_n, c, d, width)
+        assert b_next - a_next == width / 2**n  # exact halving
+        assert a_n <= a_next and b_next <= b_n  # nesting
         # d = 1 keeps [a, c]; d = 0 keeps [c, b]; interior slides between
-        assert nxt.a_n <= c <= nxt.b_n or d in (F(0), F(1))
+        assert a_next <= c <= b_next or d in (F(0), F(1))
 
     @given(
         st.integers(min_value=1, max_value=10),
@@ -188,10 +146,49 @@ class TestStep:
     )
     @settings(max_examples=300)
     def test_midpoint_moves_linearly_in_the_weight(self, n, a_n, width, d1, d2):
-        state = IterationState(n, a_n, a_n + width / 2 ** (n - 1))
-        m1 = midpoint(step(state, d1, width))
-        m2 = midpoint(step(state, d2, width))
+        b_n = a_n + width / 2 ** (n - 1)
+        c = EXACT.midpoint(a_n, b_n)
+        m1 = EXACT.midpoint(*EXACT.next_window(n, b_n, c, d1, width))
+        m2 = EXACT.midpoint(*EXACT.next_window(n, b_n, c, d2, width))
         assert m1 - m2 == (d2 - d1) * width / 2**n
+
+    @given(
+        # n + 1 values: f(c_1), ..., f(c_n) and the replacement for f(c_j).
+        st.integers(min_value=2, max_value=11).flatmap(
+            lambda size: st.tuples(
+                st.integers(min_value=1, max_value=size - 1),
+                st.lists(
+                    st.fractions(min_value=-3, max_value=3, max_denominator=40),
+                    min_size=size,
+                    max_size=size,
+                ),
+            )
+        ),
+        st.fractions(min_value=-5, max_value=5, max_denominator=30),
+        st.fractions(min_value=F(1, 10), max_value=6, max_denominator=30),
+        st.fractions(min_value=F(1, 20), max_value=4, max_denominator=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_midpoint_is_lipschitz_in_each_sampled_value(self, j_values, a, width, eps):
+        # The sampled values f(c_1), ..., f(c_n) are free inputs here, not
+        # evaluations of one f.  Changing f(c_j) alone moves c_{n+1} by at
+        # most |change| (b - a) / (epsilon 2^j), with equality when both
+        # weights are interior.
+        j, (*samples, new) = j_values
+        moved = samples[:j - 1] + [new] + samples[j:]
+
+        def last_midpoint(values):
+            lo, hi = a, a + width
+            for k, f_c in enumerate(values, start=1):
+                c = EXACT.midpoint(lo, hi)
+                lo, hi = EXACT.next_window(k, hi, c, EXACT.interpolation_weight(f_c, eps), width)
+            return EXACT.midpoint(lo, hi)
+
+        change = abs(moved[j - 1] - samples[j - 1])
+        shift = abs(last_midpoint(moved) - last_midpoint(samples))
+        assert shift <= change * width / (eps * 2**j)
+        if all(abs(v[j - 1]) < eps / 2 for v in (samples, moved)):
+            assert shift == change * width / (eps * 2**j)
 
 
 class TestExactPairFormulas:
@@ -211,16 +208,15 @@ class TestExactPairFormulas:
     @settings(max_examples=300, deadline=None)
     def test_midpoint_and_step(self, n, num, odd, k, width, d_terms):
         a_n = F(num, odd << k)
-        state = IterationState(n, a_n, a_n + width / 2 ** (n - 1))
+        b_n = a_n + width / 2 ** (n - 1)
         d = F(*d_terms)
-        c = (state.a_n + state.b_n) / 2
+        c = (a_n + b_n) / 2
         shift = d * width / 2**n
-        got_c = midpoint(state)
-        nxt = step(state, d, width)
-        for got, want in ((got_c, c), (nxt.a_n, c - shift), (nxt.b_n, state.b_n - shift)):
+        got_c = EXACT.midpoint(a_n, b_n)
+        a_next, b_next = EXACT.next_window(n, b_n, got_c, d, width)
+        for got, want in ((got_c, c), (a_next, c - shift), (b_next, b_n - shift)):
             assert type(got) is F
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-        assert nxt.n == n + 1
 
     @given(
         st.integers(min_value=-(1 << 400), max_value=1 << 400),
@@ -232,7 +228,7 @@ class TestExactPairFormulas:
     def test_interpolation_weight(self, num, odd, k, eps):
         f_c = F(num, odd << k) / (1 << 390)
         want = max(F(0), min(F(1, 2) + f_c / eps, F(1)))
-        got = interpolation_weight(f_c, eps)
+        got = EXACT.interpolation_weight(f_c, eps)
         assert type(got) is F
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
@@ -458,6 +454,14 @@ class TestTraceJsonl:
             # A step index must be a JSON integer: true would be written back as True.
             lambda lines: [lines[0]] + [lines[1].replace('"n":1', '"n":true')] + lines[2:],
             lambda lines: [lines[0]] + [lines[1].replace('"n":1', '"n":1.0')] + lines[2:],
+            # The step count is max_steps, or stopped_early_at under stop_early.
+            lambda lines: lines[:2] + lines[3:],  # the last step line removed
+            lambda lines: [lines[0].replace('"max_steps":2', '"max_steps":3')] + lines[1:],
+            lambda lines: lines[:-1] + [lines[-1][:-1] + ',"stopped_early_at":2}'],
+            lambda lines: [lines[0][:-1] + ',"stop_early":true}'] + lines[1:-1]
+            + [lines[-1][:-1] + ',"stopped_early_at":1}'],
+            lambda lines: [lines[0].replace('"max_steps":2', '"max_steps":1,"stop_early":true')]
+            + lines[1:-1] + [lines[-1][:-1] + ',"stopped_early_at":2}'],
         ],
     )
     def test_malformed_traces_are_refused(self, sample, mangle):
@@ -680,3 +684,19 @@ class TestWriterOracle:
         text = trace_to_jsonl(trace)
         assert len(text) > 4 * limit
         _assert_canonical_json_lines(text)
+
+
+def test_public_names():
+    # A name joins or leaves the public surface on purpose, with this list.
+    assert sorted(interpbisect.__all__) == [
+        "Abs", "Add", "BACKENDS", "BackendNotExact", "ClaimOutcome", "ContinuityBudget",
+        "Div", "EXACT", "EvalError", "FLOAT64", "FunctionExpr", "InvalidTolerance", "Max",
+        "Min", "Mul", "Neg", "ParseError", "Pow", "ProblemConfig", "RationalConst", "Scalar",
+        "SignPreconditionViolated", "SignsStraddle", "StepRecord", "Sub", "Trace",
+        "TraceFormatError", "Var", "Violation", "WeightMode", "WitnessCertificate",
+        "WitnessFound", "WitnessKind", "__version__", "cauchy_bound", "check_claim",
+        "continuity_budget_check", "eval_exact", "eval_float", "extract_witness",
+        "format_rational", "grid_oracle", "parse", "parse_rational", "reduced",
+        "report_to_json", "run", "scalar_text", "to_text", "trace_from_jsonl",
+        "trace_to_jsonl",
+    ]

@@ -16,7 +16,6 @@ from interpbisect import (
     EXACT,
     FLOAT64,
     format_rational,
-    interpolation_weight,
     parse_rational,
 )
 from interpbisect.numerics import _aligned, reduced, scalar_text
@@ -27,15 +26,15 @@ from interpbisect.numerics import _aligned, reduced, scalar_text
 TEXT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 
 
-def clamp_via_weight(x):
+def clamp_via_weight(x, backend=EXACT):
     """The weight's clamp to [0, 1]: at epsilon = 1 the weight of x - 1/2 is
-    ``max(0, min(x, 1))``, in the scalar type of ``x``."""
-    half = 0.5 if isinstance(x, float) else Fraction(1, 2)
-    return interpolation_weight(x - half, 2 * half)
+    ``max(0, min(x, 1))``, computed in ``backend``."""
+    half = backend.convert("1/2")
+    return backend.interpolation_weight(x - half, 2 * half)
 
 
 class TestClampUnit:
-    """The clamp inside :func:`interpolation_weight`, on its own."""
+    """The clamp inside the backends' ``interpolation_weight``, on its own."""
 
     @pytest.mark.parametrize(
         "value,expected",
@@ -51,10 +50,10 @@ class TestClampUnit:
         assert clamp_via_weight(value) == expected
 
     def test_float_type_preserved(self):
-        out = clamp_via_weight(0.75)
+        out = clamp_via_weight(0.75, FLOAT64)
         assert isinstance(out, float) and out == 0.75
-        assert clamp_via_weight(2.5) == 1.0
-        assert clamp_via_weight(-0.5) == 0.0
+        assert clamp_via_weight(2.5, FLOAT64) == 1.0
+        assert clamp_via_weight(-0.5, FLOAT64) == 0.0
 
     def test_exhaustive_small_rationals(self):
         for den in range(1, 13):

@@ -28,7 +28,6 @@ from interpbisect import (
     extract_witness,
     format_rational,
     grid_oracle,
-    interpolation_weight,
     parse,
     report_to_json,
     run,
@@ -470,10 +469,6 @@ BIG = F(10**5000 + 1, 3)
             lambda trace: ProblemConfig(a=BIG, b=BIG + 1, epsilon=F(1), backend=FLOAT64),
             TypeError, "a must be float under the float backend, got Fraction ",
             id="config-scalar-type",
-        ),
-        pytest.param(
-            lambda trace: interpolation_weight(F(1), -BIG),
-            InvalidTolerance, "epsilon must be positive, got -", id="weight-epsilon",
         ),
         pytest.param(
             lambda trace: continuity_budget_check(trace, -BIG, 1),
