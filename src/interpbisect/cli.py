@@ -519,21 +519,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     outcomes = check_claim(trace, f)
     # The last outcome carries the earliest midpoint witness, if any.
     last = outcomes[-1].case
-    witness = _witness_certificate(trace, f, last if isinstance(last, WitnessFound) else None)
+    found = last if isinstance(last, WitnessFound) else None
+    witness = _witness_certificate(trace, f, found)
     budget = None
     if args.delta is not None:
         budget = continuity_budget_check(trace, args.delta, args.m)
     report = report_to_json(trace, outcomes, witness, budget)
     print(json.dumps(report, indent=2))
+    faults = []
     violated = [o.m for o in outcomes if isinstance(o.case, Violation)]
     if violated:
-        print(
+        faults.append(
             f"claim violated at step{'s' if len(violated) > 1 else ''} "
-            f"{', '.join(map(str, violated))}",
-            file=sys.stderr,
+            f"{', '.join(map(str, violated))}"
         )
-        return EXIT_CLAIM
-    return EXIT_OK
+    # A stop_early run ends at its earliest midpoint witness and nowhere else.
+    stopped = trace.stopped_early_at
+    first = None if found is None else found.j
+    if trace.config.stop_early and stopped != first:
+        recorded = "no early stop" if stopped is None else f"an early stop at step {stopped}"
+        actual = (
+            "no step has |f(c_n)| < epsilon" if first is None
+            else f"the first |f(c_n)| < epsilon is at step {first}"
+        )
+        faults.append(f"trace records {recorded}, but {actual}")
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    return EXIT_CLAIM if faults else EXIT_OK
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:

@@ -36,20 +36,26 @@ one config line, one line per step, one final line.  Exact scalars are
 ``num/den`` strings, float scalars are JSON numbers.  Each line is one
 format string over JSON texts: digits need no escaping, so the bytes are
 ``json.dumps``'s.  Writing and reading an exact trace converts each
-distinct denominator between int and text once per call.
+distinct denominator between int and text once per call.  The reader
+takes each exact step line the writer wrote in one regular-expression
+match; any other line, and any line the match leaves in doubt (an
+out-of-order n, a zero denominator), is read as JSON, which names the
+fault.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import isfinite
 from typing import Optional, Tuple, Union
 
 from .funcdsl import FunctionExpr, eval_exact, eval_float
-from .numerics import _aligned, _DenTexts, _read_plain
+from .numerics import _PLAIN, _aligned, _DenTexts, _read_pair, _read_plain
 from .numerics import format_rational, parse_rational, reduced, scalar_text
 
 __all__ = [
@@ -447,10 +453,42 @@ def trace_to_jsonl(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
+def _exact_step_line():
+    """``fullmatch`` of a ``_STEP`` line over ``"num/den"`` strings, compiled on first use.
+
+    Group 1 is n, capped at 18 digits so that int() cannot raise; groups
+    2 to 11 are each value's numerator and denominator digits.
+    """
+    # The line's own braces need no escape: re reads a brace that starts
+    # no {m,n} repeat as itself.
+    return re.compile(_STEP("([1-9][0-9]{0,17})", *[f'"{_PLAIN}"'] * 5)).fullmatch
+
+
+def _exact_step(match, n: int, dens: dict) -> Optional[StepRecord]:
+    """The record of step ``n`` from a match of :func:`_exact_step_line`.
+
+    None when the line holds another n or a zero denominator; the caller
+    then reads it as JSON, which raises the error that names the fault.
+    """
+    index, an, ad, bn, bd, cn, cd, fn, fd, dn, dd = match.groups()
+    if int(index) != n:
+        return None
+    a = _read_pair(an, ad, dens)
+    b = _read_pair(bn, bd, dens)
+    c = _read_pair(cn, cd, dens)
+    f_c = _read_pair(fn, fd, dens)
+    d = _read_pair(dn, dd, dens)
+    if a is None or b is None or c is None or f_c is None or d is None:
+        return None
+    return StepRecord(n, a, b, c, f_c, d)
+
+
 def _parse_line(text: str, what: str, lineno: int) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a JSON integer past the int <-> text digit limit.
         raise TraceFormatError(f"line {lineno}: not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {lineno}: expected a JSON object for {what}")
@@ -504,8 +542,18 @@ def trace_from_jsonl(text: str) -> Trace:
     except (ValueError, TypeError) as exc:
         raise TraceFormatError(f"line 1: bad config: {exc}") from exc
 
+    # Canonical exact step lines take one match; every other line, and any
+    # line the match path refuses, is read as JSON.
+    step_line = _exact_step_line() if backend is EXACT else None
+    dens = {}
     records = []
     for lineno, line in enumerate(lines[1:-1], start=2):
+        match = step_line and step_line(line)
+        if match:
+            rec = _exact_step(match, lineno - 1, dens)
+            if rec is not None:
+                records.append(rec)
+                continue
         obj = _parse_line(line, "a step", lineno)
         try:
             rec = StepRecord(

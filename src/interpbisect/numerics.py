@@ -20,17 +20,24 @@ few twos it cross-multiplies.  The exact midpoint, the window update and
 the evaluator's sums and comparisons of two x-dependent subtrees go
 through it.
 
+Every reduced value is built by :data:`_coprime`, which fills a new
+Fraction's two slots: the pair is already in lowest terms, so it does
+not pay for ``Fraction``'s constructor, which would take a gcd again.
+
 Text forms are fixed because they appear verbatim in the JSONL trace
 format: rationals render as ``num/den`` (always with the denominator,
 e.g. ``-13/14``, ``0/1``).  A trace repeats its large denominators:
 a_n, b_n and c_n share the window's on every line, and f(c_n) often
 shares it too.  So the trace writer and reader convert each distinct
 denominator once per call, through a memo dict per call
-(:class:`_DenTexts`, and the one :func:`_read_plain` takes); the writer
-quotes ``num/den`` itself, as digits need no JSON escape.  Numerators
-are converted every time: the ones that repeat are saturated weights
-like ``1/1``, and a memo lookup that misses costs more than converting
-a small integer.
+(:class:`_DenTexts`, and the one :func:`_read_pair` takes); the writer
+quotes ``num/den`` itself, as digits need no JSON escape.  The reader's
+memo also keeps the denominator's power of two and odd part, so a value
+already in lowest terms (nearly every value a trace holds) is built
+after one gcd against the odd part, or none.  Numerators are converted
+every time: the ones that repeat are saturated weights like ``1/1``,
+and a memo lookup that misses costs more than converting a small
+integer.
 """
 
 from __future__ import annotations
@@ -49,33 +56,38 @@ __all__ = [
 ]
 
 
-def _coprime_maker(cls=Fraction):
-    """Return ``make(num, den)`` that builds ``cls(num, den)`` without a gcd.
+def _coprime_for(cls):
+    """Return ``make(num, den)``: ``cls(num, den)`` for coprime num, den > 0, without a gcd.
 
-    The caller guarantees ``gcd(num, den) == 1`` and ``den > 0``.  CPython
-    >= 3.12 has ``Fraction._from_coprime_ints``, <= 3.11 the
-    ``_normalize=False`` keyword; otherwise this falls back to plain
-    ``cls(num, den)``, which normalizes.
+    It fills the two slots of ``object.__new__(cls)``, as
+    ``Fraction._from_coprime_ints`` does on CPython >= 3.12; that costs a
+    quarter of ``Fraction(num, den, _normalize=False)`` on 3.11.  A class
+    whose ``__slots__`` are not ``_numerator`` and ``_denominator`` gets
+    plain ``cls``, which normalizes.
     """
-    make = getattr(cls, "_from_coprime_ints", None)
-    if make is not None:
-        return make
-    try:
-        cls(1, 1, _normalize=False)
-    except TypeError:
+    if getattr(cls, "__slots__", None) != ("_numerator", "_denominator"):
         return cls
-    return lambda num, den: cls(num, den, _normalize=False)
+    new = object.__new__
+
+    def make(num: int, den: int):
+        q = new(cls)
+        q._numerator = num
+        q._denominator = den
+        return q
+
+    return make
 
 
-_coprime = _coprime_maker()
+_coprime = _coprime_for(Fraction)
 
 # ``den & _FEW_TWOS`` is nonzero iff den has at most 64 factors of two (a
 # machine word).  On such small operands the split in reduced() costs more
-# than the full gcd it saves, so they go straight to Fraction.  Measured on
-# Python 3.11.7 (2-vCPU VM), Fraction(num, den) against the split: 0.75-0.98
-# vs 1.3-1.6 us at 20-60 bits, 2.5 vs 1.6 us at 300 bits, 18 vs 2.6 us at
-# 2,000 bits, 120 vs 9.2 us at 7,500 bits.  _aligned() uses the same
-# test: a sum of two such pairs cost 0.26 us cross-multiplied against
+# than the full gcd it saves, so they take one gcd.  Measured on Python
+# 3.11.7 (2-vCPU VM) for den = 3 * 2^(bits - 2), one gcd against the split,
+# both then _coprime: 0.65 vs 1.25 us at 20 bits, 0.76 vs 1.44 us at 60,
+# 3.0 vs 1.9 us at 300, 25 vs 3.9 us at 2,000, 196 vs 6.1 us at 7,500
+# (Fraction(num, den): 1.4, 1.7, 3.8, 25 and 178 us).  _aligned() uses the
+# same test: a sum of two such pairs cost 0.26 us cross-multiplied against
 # 0.44 us aligned at 30 twos, and 17 vs 1.7 us at 2,000.  A lone sum stays
 # cheaper cross-multiplied up to about 256 twos, but a cut-over there made
 # check_claim 6-8% slower: the evaluator carries 2^(i+j) into later nodes.
@@ -90,14 +102,15 @@ def reduced(num: int, den: int) -> Fraction:
     the denominator alone, which is small on the iteration's windows.
     """
     if den & _FEW_TWOS:
-        return Fraction(num, den)
-    if not num:
+        g = gcd(num, den)
+    elif not num:
         return _coprime(0, 1)
-    k = (den & -den).bit_length() - 1
-    j = min(k, (num & -num).bit_length() - 1)
-    num >>= j
-    den >>= j
-    g = gcd(num, den >> (k - j))
+    else:
+        k = (den & -den).bit_length() - 1
+        j = min(k, (num & -num).bit_length() - 1)
+        num >>= j
+        den >>= j
+        g = gcd(num, den >> (k - j))
     if g != 1:
         num //= g
         den //= g
@@ -144,41 +157,50 @@ def scalar_text(value: Union[Fraction, float]) -> str:
         return format_rational(value)
 
 
-def _plain_int(text: str) -> Optional[int]:
-    """``int(text)`` for ASCII digits after an optional ``-``, else None.
-
-    int() also accepts spaces, signs and underscores, but none of them
-    can begin or end the digits, so with a digit at each end and no
-    ``_`` it reads ASCII digits alone and refuses everything else.
-    """
-    first = text[1:2] if text[:1] == "-" else text[:1]
-    if not (first.isdigit() and text[-1:].isdigit() and text.isascii() and "_" not in text):
-        return None
+def _digits_int(text: str) -> int:
+    """``int(text)`` for text that matches ``-?[0-9]+``, of any length."""
     try:
         return int(text)
     except ValueError:
-        # Not digits, or past the digit limit: Decimal reads digit text
-        # of any length.
-        return int(Decimal(text)) if text.lstrip("-").isdigit() else None
+        # Past the digit limit (see format_rational): Decimal reads digit
+        # text of any length.
+        return int(Decimal(text))
+
+
+def _read_pair(num: str, den: str, dens: dict) -> Optional[Fraction]:
+    """The value of ``num/den`` for digit texts ``-?[0-9]+`` and ``[0-9]+``; None if den is 0.
+
+    ``dens`` memoizes denominator text -> (d, k, p) with d = 2^k p, p odd,
+    for one trace reader.  A trace's values are nearly always in lowest
+    terms already; they are built with :data:`_coprime` when n is odd or d
+    is, and n is coprime to p, and reduced otherwise.
+    """
+    shape = dens.get(den)
+    if shape is None:
+        d = _digits_int(den)
+        if not d:
+            return None
+        k = (d & -d).bit_length() - 1
+        shape = dens[den] = d, k, d >> k
+    d, k, p = shape
+    n = _digits_int(num)
+    if (n & 1 or not k) and (p == 1 or gcd(n, p) == 1):
+        return _coprime(n, d)
+    return reduced(n, d)
+
+
+# The trace format's ``num/den`` text, as two groups for _read_pair.
+_PLAIN = r"(-?[0-9]+)/([0-9]+)"
 
 
 def _read_plain(text: str, dens: dict) -> Optional[Fraction]:
     """The trace format's own ``-?[0-9]+/[0-9]+`` with a positive denominator.
 
     None for every other text, which :func:`parse_rational` reads (or
-    refuses) on its general path.  ``dens`` memoizes denominator text
-    -> :func:`_plain_int` for one trace reader.
+    refuses) on its general path.  ``dens`` is :func:`_read_pair`'s memo.
     """
-    num, slash, den = text.partition("/")
-    if slash:
-        d = dens.get(den)
-        if d is None:
-            d = dens[den] = _plain_int(den)
-        if d is not None and d > 0:
-            n = _plain_int(num)
-            if n is not None:
-                return reduced(n, d)
-    return None
+    match = re.fullmatch(_PLAIN, text)
+    return None if match is None else _read_pair(match[1], match[2], dens)
 
 
 class _DenTexts(dict):

@@ -472,6 +472,43 @@ class TestVerify:
         assert code == EXIT_USAGE and stdout == ""
         assert "trace: line 6: 4 steps, max_steps 5, no stopped_early_at" in err
 
+    @pytest.mark.parametrize(
+        "epsilon,steps,stopped,message",
+        [
+            # run --stop-early stops at step 1 here: |f(c_1)| = 1/7 < 1/3.
+            ("1/3", 5, 5, "trace records an early stop at step 5, but the first "
+                          "|f(c_n)| < epsilon is at step 1"),
+            ("1/3", 5, None, "trace records no early stop, but the first "
+                             "|f(c_n)| < epsilon is at step 1"),
+            ("1/1000", 2, 2, "trace records an early stop at step 2, but no step "
+                             "has |f(c_n)| < epsilon"),
+        ],
+        ids=["late-stop", "missing-stop", "stop-without-witness"],
+    )
+    def test_early_stop_off_the_first_witness_is_a_claim_failure(
+        self, tmp_path, capsys, epsilon, steps, stopped, message
+    ):
+        # A run without --stop-early, relabelled as one that stopped early.
+        out = tmp_path / "t.jsonl"
+        argv = ["run", "-f", SAMPLE_TEXT, "--a=-1", "--b=1", "-e", epsilon,
+                "--max-steps", str(steps), "--out", out]
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+        lines = out.read_text().splitlines()
+        lines[0] = lines[0][:-1] + ',"stop_early":true}'
+        if stopped is not None:
+            lines[-1] = lines[-1][:-1] + f',"stopped_early_at":{stopped}}}'
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli(["verify", "-t", out, "-f", SAMPLE_TEXT], capsys)
+        assert code == EXIT_CLAIM and json.loads(stdout)["claim_holds"] is True
+        assert err == message + "\n"
+
+    def test_early_stop_at_the_first_witness_verifies(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert run_cli(RUN_SAMPLE + ["--stop-early", "--out", out], capsys)[0] == EXIT_OK
+        assert trace_from_jsonl(out.read_text()).stopped_early_at == 1
+        code, _, err = run_cli(["verify", "-t", out, "-f", SAMPLE_TEXT], capsys)
+        assert code == EXIT_OK and err == ""
+
     def test_deeply_nested_trace_line_is_usage_error(self, tmp_path, capsys):
         # json's decoder recurses once per nested array.
         bad = tmp_path / "deep.jsonl"

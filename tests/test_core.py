@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interpbisect
+from interpbisect import core
 from interpbisect import (
     EXACT,
     FLOAT64,
@@ -454,6 +455,9 @@ class TestTraceJsonl:
             # A step index must be a JSON integer: true would be written back as True.
             lambda lines: [lines[0]] + [lines[1].replace('"n":1', '"n":true')] + lines[2:],
             lambda lines: [lines[0]] + [lines[1].replace('"n":1', '"n":1.0')] + lines[2:],
+            # json refuses an integer past the int <-> text digit limit with a ValueError.
+            lambda lines: [lines[0]] + [lines[1].replace('"n":1', '"n":1' + "0" * _DIGIT_LIMIT)]
+            + lines[2:],
             # The step count is max_steps, or stopped_early_at under stop_early.
             lambda lines: lines[:2] + lines[3:],  # the last step line removed
             lambda lines: [lines[0].replace('"max_steps":2', '"max_steps":3')] + lines[1:],
@@ -576,6 +580,111 @@ class TestTraceJsonl:
     def test_step_record_is_plain_data(self):
         rec = StepRecord(1, F(-1), F(1), F(0), F(1, 7), F(13, 14))
         assert rec.c_n == F(0)
+
+
+# Step lines for TestStepLineMatch: the writer's line, with zero to two faults.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+_STEP_KEYS = ("n", "a_n", "b_n", "c_n", "f_c_n", "d_n")
+
+
+@st.composite
+def _plain_value_texts(draw):
+    """``num/den`` texts the match accepts, in lowest terms or not."""
+    num = draw(st.integers(-(10**40), 10**40))
+    den = draw(st.integers(1, 10**40))
+    return draw(
+        st.sampled_from(
+            [
+                format_rational(F(num, den)),
+                f"{num}/{den}",  # often unreduced
+                f"{num}/{den << 70}",  # past reduced()'s 64-twos cut-over
+                f"{num * 3}/{den * 3 << 5}",
+                "2/4",
+                "-0/5",
+                "0/1",
+                f"{'-' * (num < 0)}00{abs(num)}/0{den}",  # leading zeros
+                f"-{'7' * (_DIGIT_LIMIT + 3)}/3",  # past the int <-> text limit
+                f"1/{'9' * (_DIGIT_LIMIT + 1)}",
+            ]
+        )
+    )
+
+
+_BAD_VALUE_TEXTS = [
+    "1/0", "0/000", "1/", "/2", "\u0663/4", "3/\u0664",
+    " 1/2", "+1/2", "1_0/4", "1/-2", "--1/2", "1.5",
+]
+_BAD_INDEXES = [
+    "0{n}", "true", "{n}.0", "{m}", '"{n}"',
+    "{n}" + "0" * 17, "{n}" + "0" * 18, "{n}" + "0" * _DIGIT_LIMIT,
+]
+
+
+@st.composite
+def _step_lines(draw, n):
+    index = str(n)
+    values = [f'"{draw(_plain_value_texts())}"' for _ in range(5)]
+    comma, colon, end = ",", ":", ""
+    order = list(range(6))
+    for fault in draw(st.lists(st.integers(0, 5), max_size=2)):
+        if fault == 0:
+            index = draw(st.sampled_from(_BAD_INDEXES)).format(n=n, m=n + 1)
+        elif fault == 1:
+            values[draw(st.integers(0, 4))] = f'"{draw(st.sampled_from(_BAD_VALUE_TEXTS))}"'
+        elif fault == 2:
+            values[draw(st.integers(0, 4))] = draw(st.sampled_from(["1", "null", "[]"]))
+        elif fault == 3:
+            order = draw(st.permutations(order))
+        elif fault == 4:
+            comma, colon = draw(st.sampled_from([(", ", ": "), (",", " :")]))
+        else:
+            end = draw(st.sampled_from([" ", "\t"]))
+    parts = list(zip(_STEP_KEYS, [index] + values))
+    return "{" + comma.join(f'"{k}"{colon}{v}' for k, v in (parts[i] for i in order)) + "}" + end
+
+
+class TestStepLineMatch:
+    """Exact step lines read in one match give what the JSON path gives."""
+
+    HEAD = (
+        '{"a":"-1/1","b":"1/1","epsilon":"1/3","backend":"exact",'
+        '"mode":"interpolated","max_steps":%d}'
+    )
+    TAIL = '{"limit_estimate":"0/1","limit_error_bound":"1/1"}'
+
+    @staticmethod
+    def _read(text):
+        try:
+            return trace_from_jsonl(text)
+        except TraceFormatError as exc:
+            return f"TraceFormatError: {exc}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(*map(_step_lines, range(1, k + 1)))))
+    def test_match_and_json_path_agree(self, lines):
+        text = "\n".join([self.HEAD % len(lines), *lines, self.TAIL]) + "\n"
+        matched = self._read(text)
+        with pytest.MonkeyPatch.context() as patch:
+            # No line matches: every step line is read as JSON.
+            patch.setattr(core, "_exact_step_line", lambda: lambda line: None)
+            assert self._read(text) == matched
+        if isinstance(matched, Trace):
+            for rec in matched.steps:
+                for q in (rec.a_n, rec.b_n, rec.c_n, rec.f_c_n, rec.d_n):
+                    assert type(q) is F and q == F(q.numerator, q.denominator)
+
+    def test_canonical_lines_are_not_read_as_json(self, sample, monkeypatch):
+        trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=12), sample)
+        seen = []
+        parse_line = core._parse_line
+
+        def recording(text, what, lineno):
+            seen.append(what)
+            return parse_line(text, what, lineno)
+
+        monkeypatch.setattr(core, "_parse_line", recording)
+        assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+        assert seen == ["the config", "the final line"]
 
 
 def _sha256(texts):

@@ -1,5 +1,6 @@
 """Expression language: parsing, evaluation, printing."""
 
+import copy
 import itertools
 import math
 import pickle
@@ -640,38 +641,36 @@ class TestCompiledEvaluators:
         assert again == tree and eval_exact(again, F(1, 3)) == eval_exact(tree, F(1, 3))
 
 
-class TestReducedFractionHelper:
-    """``numerics._coprime_maker`` picks one of three ways to build a reduced Fraction."""
+class TestCoprimeFraction:
+    """``numerics._coprime`` fills a Fraction's two slots without a gcd."""
 
-    def test_this_interpreter(self):
-        make = numerics._coprime_maker()
-        q = make(6, 35)
-        assert type(q) is Fraction and (q.numerator, q.denominator) == (6, 35)
-        assert q == Fraction(6, 35)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(10**700), 10**700), st.integers(1, 10**700))
+    def test_same_as_the_constructor(self, num, den):
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        q, ref = numerics._coprime(num, den), Fraction(num, den)
+        assert type(q) is Fraction
+        assert (q.numerator, q.denominator) == (ref.numerator, ref.denominator)
+        assert q == ref and hash(q) == hash(ref)
+        for twin in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+            assert type(twin) is Fraction and twin == ref and hash(twin) == hash(ref)
 
-    def test_from_coprime_ints_is_used_when_present(self):
-        class Modern:  # Fraction on CPython >= 3.12
-            @classmethod
-            def _from_coprime_ints(cls, num, den):
-                return ("coprime", num, den)
+    def test_fills_the_slots_without_calling_the_class(self):
+        class Slotted:  # Fraction's layout, with a constructor that refuses
+            __slots__ = ("_numerator", "_denominator")
 
-        assert numerics._coprime_maker(Modern)(3, 4) == ("coprime", 3, 4)
+            def __new__(cls, *args):
+                raise AssertionError("constructor called")
 
-    def test_normalize_keyword_is_used_when_accepted(self):
-        calls = []
-
-        class Legacy:  # Fraction on CPython <= 3.11
-            def __init__(self, num, den, _normalize=True):
-                calls.append((num, den, _normalize))
-
-        numerics._coprime_maker(Legacy)(3, 4)
-        assert calls[-1] == (3, 4, False)
+        q = numerics._coprime_for(Slotted)(3, 4)
+        assert type(q) is Slotted and (q._numerator, q._denominator) == (3, 4)
 
     def test_falls_back_to_the_normalizing_constructor(self):
-        class Plain:
+        class Plain:  # no slots, or other ones: only the constructor is safe
             def __init__(self, num, den):
                 self.args = (num, den)
 
-        make = numerics._coprime_maker(Plain)
+        make = numerics._coprime_for(Plain)
         assert make is Plain
         assert make(4, 6).args == (4, 6)
