@@ -152,14 +152,16 @@ class ExactBackend:
         """``num/den`` text, the denominator always present."""
         return format_rational(value)
 
-    def _trace_codec(self):
+    def _trace_codec(self, dens=None):
         """``(to_json, from_json)`` for one trace call.
 
         ``to_json`` writes the JSON text of :meth:`format`'s ``num/den``
         string; ``from_json`` reads the decoded string.  Both convert each
-        distinct denominator once per call (see :mod:`interpbisect.numerics`).
+        distinct denominator once per call (see :mod:`interpbisect.numerics`);
+        ``from_json`` shares ``dens``, a ``_read_pair`` memo, when given one.
         """
-        dens = {}
+        if dens is None:
+            dens = {}
 
         def from_json(value: Union[str, int, float]) -> Fraction:
             if not isinstance(value, str):
@@ -226,8 +228,11 @@ class FloatBackend:
         """Shortest round-trip decimal text."""
         return repr(float(value))
 
-    def _trace_codec(self):
-        """``(to_json, from_json)`` for one trace: floats are JSON numbers, as text."""
+    def _trace_codec(self, dens=None):
+        """``(to_json, from_json)`` for one trace: floats are JSON numbers, as text.
+
+        ``dens`` is accepted for :class:`ExactBackend`'s signature and unused.
+        """
 
         def from_json(value: Union[str, int, float]) -> float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -524,7 +529,9 @@ def trace_from_jsonl(text: str) -> Trace:
         raise TraceFormatError(
             f"line 1: unknown backend {name!r} (expected 'exact' or 'float')"
         )
-    _, from_json = backend._trace_codec()
+    # The step lines' match path and from_json share one denominator memo.
+    dens = {}
+    _, from_json = backend._trace_codec(dens)
     try:
         mode = WeightMode(_take(head, "mode", 1))
     except ValueError as exc:
@@ -545,7 +552,6 @@ def trace_from_jsonl(text: str) -> Trace:
     # Canonical exact step lines take one match; every other line, and any
     # line the match path refuses, is read as JSON.
     step_line = _exact_step_line() if backend is EXACT else None
-    dens = {}
     records = []
     for lineno, line in enumerate(lines[1:-1], start=2):
         match = step_line and step_line(line)

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interpbisect
-from interpbisect import core
+from interpbisect import core, numerics
 from interpbisect import (
     EXACT,
     FLOAT64,
@@ -411,6 +412,20 @@ class TestTraceJsonl:
     def test_round_trip_exact(self, sample):
         trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=12), sample)
         assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+
+    def test_each_denominator_text_is_converted_once(self, sample, monkeypatch):
+        # The step lines' match path and the JSON path share one memo, so
+        # a read converts every value's numerator text and each distinct
+        # denominator text once: the last window's denominator, which the
+        # limit estimate shares with the last c_n, no second time.
+        trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=40), sample)
+        text = trace_to_jsonl(trace)
+        values = re.findall(r'"(-?[0-9]+)/([0-9]+)"', text)
+        converted = []
+        digits_int = numerics._digits_int
+        monkeypatch.setattr(numerics, "_digits_int", lambda t: converted.append(t) or digits_int(t))
+        assert trace_from_jsonl(text) == trace
+        assert len(converted) == len(values) + len({den for _, den in values})
 
     def test_round_trip_float(self, sample):
         trace = run(

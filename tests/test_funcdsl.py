@@ -552,18 +552,22 @@ class TestCompiledEvaluators:
     def test_grid_columns_equal_walk(self, expr, den, u0, stride):
         # The verifier's grid columns: integers N over one scale s with
         # N/s = f(u/den) at every u.  Every tree whose divisors are
-        # nonzero constants gets them; x^0 counts as the constant 1.
+        # nonzero constants gets them; x^0 counts as the constant 1.  The
+        # block's integer enclosure holds every one of those N.
         kernel = _compile_grid(expr, den)
         if kernel is None:
             assert _needs_point_loop(expr)
             return
-        column, scale = kernel
+        column, enclose, scale = kernel
         us = range(u0, u0 + 16 * stride, stride)
         got = list(column(us))
         assert type(scale) is int and scale > 0
         assert all(type(n) is int for n in got)
         want = [walk_eval(expr, Fraction(u, den), Fraction) for u in us]
         assert [Fraction(n, scale) for n in got] == want
+        lo, hi = enclose(us[0], us[-1])
+        assert type(lo) is int and type(hi) is int
+        assert all(lo <= value * scale <= hi for value in want)
 
     @pytest.mark.parametrize(
         "text",
@@ -584,10 +588,12 @@ class TestCompiledEvaluators:
     )
     def test_grid_columns_with_a_constant_on_either_side(self, text):
         expr = parse(text)
-        column, scale = _compile_grid(expr, 14)
+        column, enclose, scale = _compile_grid(expr, 14)
         us = range(-30, 31)
         want = [walk_eval(expr, Fraction(u, 14), Fraction) for u in us]
         assert [Fraction(n, scale) for n in column(us)] == want
+        lo, hi = enclose(-30, 30)
+        assert all(lo <= value * scale <= hi for value in want)
         # The exact evaluator's closures for the same constant operands.
         for u, value in zip(us, want):
             got = eval_exact(expr, Fraction(u, 14))

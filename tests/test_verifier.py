@@ -328,8 +328,7 @@ class TestGridOracle:
         assert err.value.x == x and type(err.value.x) is Fraction
         assert err.value.path == path
 
-    # The integer scan goes 128 points at a time: hits on either side of
-    # a block edge, and at the last grid point.
+    # Hits on either side of k = 128, and at the last grid point.
     @pytest.mark.parametrize(
         "a,b,grid_n,k",
         [
@@ -352,6 +351,36 @@ class TestGridOracle:
         f = parse(f"7/5*(x - {k}/300) + min(x, 0)")
         cert = grid_oracle(f, F(0), F(1), F(1, 300), 300)
         assert (cert.index, cert.x, cert.f_x) == (k, F(k, 300), F(0))
+
+    # The descent's edge cases, each against a scan of every grid point
+    # by walk_eval.  The last two trees subtract a term from itself, so
+    # their enclosures are loose: they rule out few ranges or none, and
+    # the grid has no hit.
+    @pytest.mark.parametrize(
+        "text,a,b,epsilon,grid_n,want",
+        [
+            ("x", 0, 1, F(1, 10**4), 1000, (0, F(0), F(0))),  # hit at k = 0
+            ("1 - x", 0, 1, F(1, 10**4), 1000, (1000, F(1), F(0))),  # hit at k = N only
+            ("x - 1", 0, 1, F(1, 2), 1, (1, F(1), F(0))),  # N = 1
+            ("10 - 10x", 0, 1, F(1, 20), 100, (100, F(1), F(0))),  # N + 1 = 101 points
+            ("min(10x - 9, 1)", 0, 1, F(1, 5), 100, (89, F(89, 100), F(-1, 10))),
+            ("x + 1/10", 0, 1, F(1, 10), 10, None),  # |f| = epsilon at k = 0
+            ("3/7*x - 3/70", 0, 1, F(3, 70), 10, (1, F(1, 10), F(0))),  # |f| = epsilon at k = 0, 2
+            ("-abs(x - 1/2)^3 + 1/8", -1, 2, F(1, 10**6), 30, (10, F(0), F(0))),  # abs straddles 0
+            ("100x^2 - 100x^2 + 1/5", -3, 3, F(1, 10), 1000, None),
+            ("x^9 - x^9 + 1", -3, 3, F(1, 10), 1000, None),
+        ],
+    )
+    def test_descent_edge_cases(self, text, a, b, epsilon, grid_n, want):
+        f = parse(text)
+        cert = grid_oracle(f, F(a), F(b), epsilon, grid_n)
+        got = cert and (cert.index, cert.x, cert.f_x)
+        points = [a + (b - a) * F(k, grid_n) for k in range(grid_n + 1)]
+        values = [walk_eval(f, x, Fraction) for x in points]
+        walked = next(
+            ((k, points[k], v) for k, v in enumerate(values) if abs(v) < epsilon), None
+        )
+        assert got == walked == want
 
     def test_agrees_with_textbook_bisection_neighborhood(self, sample_fn):
         # the grid hit and the sign-rule bisection both localize the
