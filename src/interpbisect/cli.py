@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import __version__
 from .core import (
     BACKENDS,
     EXACT,
+    BackendNotExact,
     ProblemConfig,
     SignPreconditionViolated,
     StepRecord,
@@ -34,17 +32,8 @@ from .core import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .funcdsl import EvalError, FunctionExpr, ParseError, eval_float, parse, to_text
+from .funcdsl import EvalError, ParseError, parse, to_text
 from .numerics import parse_rational
-from .verifier import (
-    BackendNotExact,
-    Violation,
-    WitnessFound,
-    _witness_certificate,
-    check_claim,
-    continuity_budget_check,
-    report_to_json,
-)
 
 __all__ = [
     "EXIT_OK",
@@ -63,208 +52,13 @@ EXIT_SIGN = 3
 EXIT_CLAIM = 4
 
 
-class PlotError(ValueError):
-    """The plot request cannot produce a well-formed figure."""
+def __getattr__(name: str):
+    # The SVG renderer loads on first use, by ``plot`` or a caller (PEP 562).
+    if name in ("PlotError", "PlotSpec", "render_trace_svg"):
+        from . import svg
 
-
-# ---------------------------------------------------------------------------
-# SVG rendering
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """What to draw; the figure's size and style are fixed.
-
-    Ranges are floats because rendering is presentation only: exact
-    scalars convert at the last moment.  ``x_range``/``y_range`` of
-    None means derive them from the trace interval and the sampled
-    curve.
-    """
-
-    function: FunctionExpr
-    trace: Trace
-    x_range: Optional[Tuple[float, float]] = None
-    y_range: Optional[Tuple[float, float]] = None
-    samples: int = 512
-
-
-def _px(v: float) -> str:
-    return f"{v:.3f}"
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    )
-
-
-def render_trace_svg(spec: PlotSpec) -> str:
-    """Render the function curve, midpoint dots, and the limit square.
-
-    Dots are filled circles at (c_n, f(c_n)) from the trace records;
-    the final estimate is an open square at (limit, f(limit)).  Every
-    marker carries data-x / data-y attributes in the backend's text
-    form, so the numbers can be read back from the file exactly.  A
-    dotted horizontal line marks the tolerance at +epsilon.  Output is
-    deterministic byte for byte.
-
-    Raises:
-        PlotError: on fewer than 2 samples or an empty/degenerate range.
-    """
-    if spec.samples < 2:
-        raise PlotError(f"need at least 2 curve samples, got {spec.samples}")
-    trace = spec.trace
-    backend = trace.config.backend
-    f = spec.function
-
-    if spec.x_range is not None:
-        x_lo, x_hi = (float(spec.x_range[0]), float(spec.x_range[1]))
-    else:
-        x_lo, x_hi = float(trace.config.a), float(trace.config.b)
-    if not (math.isfinite(x_lo) and math.isfinite(x_hi)) or x_lo >= x_hi:
-        raise PlotError(f"degenerate x range [{x_lo}, {x_hi}]")
-
-    xs = [x_lo + i * (x_hi - x_lo) / (spec.samples - 1) for i in range(spec.samples)]
-    curve: List[Tuple[float, Optional[float]]] = []
-    for x in xs:
-        try:
-            y = eval_float(f, x)
-        except EvalError:
-            y = None
-        curve.append((x, y if y is not None and math.isfinite(y) else None))
-
-    dots = [(rec.n, rec.c_n, rec.f_c_n) for rec in trace.steps]
-    limit = trace.limit_estimate
-    f_limit = backend.evaluate(f, limit)
-    epsilon = trace.config.epsilon
-
-    if spec.y_range is not None:
-        y_lo, y_hi = (float(spec.y_range[0]), float(spec.y_range[1]))
-    else:
-        candidates = [y for _, y in curve if y is not None]
-        candidates += [float(v) for _, _, v in dots]
-        candidates += [float(f_limit), float(epsilon), 0.0]
-        lo, hi = min(candidates), max(candidates)
-        pad = 0.08 * (hi - lo) if hi > lo else 1.0
-        y_lo, y_hi = lo - pad, hi + pad
-    if not (math.isfinite(y_lo) and math.isfinite(y_hi)) or y_lo >= y_hi:
-        raise PlotError(f"degenerate y range [{y_lo}, {y_hi}]")
-
-    width, height = 720, 480
-    top, right, bottom, left = 28, 30, 46, 64
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-
-    def px(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(y: float) -> float:
-        return top + (y_hi - y) / (y_hi - y_lo) * plot_h
-
-    parts: List[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    parts.append(f"<desc>{_escape(to_text(f))}</desc>")
-    parts.append(
-        '<defs><clipPath id="plot-area">'
-        f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}"/>'
-        "</clipPath></defs>"
-    )
-    parts.append(
-        f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-        'fill="white" stroke="#999999" stroke-width="1"/>'
-    )
-
-    # Zero axes and unit ticks, drawn only where they fall inside the frame.
-    tick = 4.0
-    if y_lo < 0 < y_hi:
-        y0 = py(0.0)
-        parts.append(
-            f'<line x1="{left}" y1="{_px(y0)}" x2="{left + plot_w}" y2="{_px(y0)}" '
-            'stroke="#bbbbbb" stroke-width="1"/>'
-        )
-        for xv in (-1.0, 1.0):
-            if x_lo < xv < x_hi:
-                xp = px(xv)
-                parts.append(
-                    f'<line x1="{_px(xp)}" y1="{_px(y0 - tick)}" x2="{_px(xp)}" '
-                    f'y2="{_px(y0 + tick)}" stroke="#555555" stroke-width="1"/>'
-                )
-                parts.append(
-                    f'<text x="{_px(xp)}" y="{_px(y0 + 16)}" font-size="11" '
-                    f'text-anchor="middle" fill="#555555">{int(xv)}</text>'
-                )
-    if x_lo < 0 < x_hi:
-        x0 = px(0.0)
-        parts.append(
-            f'<line x1="{_px(x0)}" y1="{top}" x2="{_px(x0)}" y2="{top + plot_h}" '
-            'stroke="#bbbbbb" stroke-width="1"/>'
-        )
-        for yv in (-1.0, 1.0):
-            if y_lo < yv < y_hi:
-                yp = py(yv)
-                parts.append(
-                    f'<line x1="{_px(x0 - tick)}" y1="{_px(yp)}" x2="{_px(x0 + tick)}" '
-                    f'y2="{_px(yp)}" stroke="#555555" stroke-width="1"/>'
-                )
-                parts.append(
-                    f'<text x="{_px(x0 - 7)}" y="{_px(yp + 4)}" font-size="11" '
-                    f'text-anchor="end" fill="#555555">{int(yv)}</text>'
-                )
-
-    eps_f = float(epsilon)
-    if y_lo < eps_f < y_hi:
-        ye = py(eps_f)
-        parts.append(
-            f'<line x1="{left}" y1="{_px(ye)}" x2="{left + plot_w}" y2="{_px(ye)}" '
-            'stroke="#666666" stroke-width="1" stroke-dasharray="2,4"/>'
-        )
-        parts.append(
-            f'<text x="{left + plot_w - 6}" y="{_px(ye - 5)}" font-size="11" '
-            'text-anchor="end" fill="#666666">'
-            f"ε = {_escape(backend.format(epsilon))}</text>"
-        )
-
-    segments: List[List[str]] = []
-    current: List[str] = []
-    for x, y in curve:
-        if y is None:
-            if current:
-                segments.append(current)
-                current = []
-            continue
-        cmd = "L" if current else "M"
-        current.append(f"{cmd}{_px(px(x))},{_px(py(y))}")
-    if current:
-        segments.append(current)
-    if segments:
-        path = " ".join(" ".join(seg) for seg in segments)
-        parts.append(
-            f'<path d="{path}" fill="none" stroke="#153a6b" '
-            'stroke-width="1.5" clip-path="url(#plot-area)"/>'
-        )
-
-    for n, c_n, f_c_n in dots:
-        parts.append(
-            f'<circle class="midpoint-dot" cx="{_px(px(float(c_n)))}" '
-            f'cy="{_px(py(float(f_c_n)))}" r="3.0" '
-            f'fill="#1a1a1a" data-step="{n}" '
-            f'data-x="{_escape(backend.format(c_n))}" '
-            f'data-y="{_escape(backend.format(f_c_n))}"/>'
-        )
-
-    half = 4.5
-    parts.append(
-        f'<rect class="limit-marker" x="{_px(px(float(limit)) - half)}" '
-        f'y="{_px(py(float(f_limit)) - half)}" width="{2 * half}" height="{2 * half}" '
-        'fill="none" stroke="#8a1f1f" stroke-width="1.5" '
-        f'data-x="{_escape(backend.format(limit))}" '
-        f'data-y="{_escape(backend.format(f_limit))}"/>'
-    )
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        return getattr(svg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +304,28 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
+    from . import verifier
+
     if (args.delta is None) != (args.m is None):
         print("verify: --delta and --m go together", file=sys.stderr)
         return EXIT_USAGE
     text = args.trace.read_text(encoding="utf-8")
     trace = trace_from_jsonl(text)
     f = parse(args.function)
-    outcomes = check_claim(trace, f)
+    outcomes = verifier.check_claim(trace, f)
     # The last outcome carries the earliest midpoint witness, if any.
     last = outcomes[-1].case
-    found = last if isinstance(last, WitnessFound) else None
-    witness = _witness_certificate(trace, f, found)
+    found = last if isinstance(last, verifier.WitnessFound) else None
+    witness = verifier._witness_certificate(trace, f, found)
     budget = None
     if args.delta is not None:
-        budget = continuity_budget_check(trace, args.delta, args.m)
-    report = report_to_json(trace, outcomes, witness, budget)
+        budget = verifier.continuity_budget_check(trace, args.delta, args.m)
+    report = verifier.report_to_json(trace, outcomes, witness, budget)
     print(json.dumps(report, indent=2))
     faults = []
-    violated = [o.m for o in outcomes if isinstance(o.case, Violation)]
+    violated = [o.m for o in outcomes if isinstance(o.case, verifier.Violation)]
     if violated:
         faults.append(
             f"claim violated at step{'s' if len(violated) > 1 else ''} "
@@ -549,6 +347,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from .svg import PlotSpec, render_trace_svg
+
     text = args.trace.read_text(encoding="utf-8")
     trace = trace_from_jsonl(text)
     f = parse(args.function)

@@ -45,9 +45,7 @@ fault.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -57,6 +55,7 @@ from typing import Optional, Tuple, Union
 from .funcdsl import FunctionExpr, eval_exact, eval_float
 from .numerics import _PLAIN, _aligned, _DenTexts, _read_pair, _read_plain
 from .numerics import format_rational, parse_rational, reduced, scalar_text
+from .record import Record, init_field
 
 __all__ = [
     "Scalar",
@@ -67,6 +66,7 @@ __all__ = [
     "ProblemConfig",
     "StepRecord",
     "Trace",
+    "BackendNotExact",
     "InvalidTolerance",
     "SignPreconditionViolated",
     "TraceFormatError",
@@ -100,6 +100,10 @@ class SignPreconditionViolated(ValueError):
 
 class TraceFormatError(ValueError):
     """The JSONL text is not a trace this module wrote."""
+
+
+class BackendNotExact(ValueError):
+    """Raised when a check that needs exact arithmetic gets a float trace."""
 
 
 class WeightMode(Enum):
@@ -243,7 +247,11 @@ class FloatBackend:
 
         def to_json(value: float) -> str:
             # json writes a finite float as its repr, which is format's text.
-            return fmt(value) if isfinite(value) else _nonfinite_json(float(value))
+            if isfinite(value):
+                return fmt(value)
+            import json
+
+            return json.dumps(float(value))  # Infinity, -Infinity or NaN
 
         return to_json, from_json
 
@@ -280,8 +288,7 @@ def _require_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
+class ProblemConfig(Record):
     """One root-bracketing problem: interval, tolerance, and run policy.
 
     Scalars must already live in ``backend``'s type; the config is the
@@ -290,59 +297,50 @@ class ProblemConfig:
     epsilon instead of running all ``max_steps``.
     """
 
-    a: Scalar
-    b: Scalar
-    epsilon: Scalar
-    max_steps: int = 40
-    weight_mode: WeightMode = WeightMode.INTERPOLATED
-    backend: ExactBackend | FloatBackend = EXACT
-    stop_early: bool = False
+    __slots__ = ("a", "b", "epsilon", "max_steps", "weight_mode", "backend", "stop_early")
 
-    def __post_init__(self) -> None:
-        expected = self.backend.scalar
-        for field in ("a", "b", "epsilon"):
-            value = getattr(self, field)
+    def __init__(self, a: Scalar, b: Scalar, epsilon: Scalar, max_steps: int = 40,
+                 weight_mode: WeightMode = WeightMode.INTERPOLATED,
+                 backend: ExactBackend | FloatBackend = EXACT, stop_early: bool = False):
+        expected = backend.scalar
+        for field, value in (("a", a), ("b", b), ("epsilon", epsilon)):
             if not isinstance(value, expected):
                 raise TypeError(
                     f"{field} must be {expected.__name__} under the "
-                    f"{self.backend.name} backend, got "
+                    f"{backend.name} backend, got "
                     f"{type(value).__name__} {scalar_text(value)}"
                 )
-        if not self.a < self.b:
-            raise ValueError(
-                f"need a < b, got a = {scalar_text(self.a)}, b = {scalar_text(self.b)}"
-            )
-        if not self.epsilon > 0:
-            raise InvalidTolerance(
-                f"epsilon must be positive, got {scalar_text(self.epsilon)}"
-            )
-        _require_int("max_steps", self.max_steps)
-        if not isinstance(self.stop_early, bool):
-            raise TypeError(
-                f"stop_early must be a bool, got {type(self.stop_early).__name__}"
-            )
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        if not a < b:
+            raise ValueError(f"need a < b, got a = {scalar_text(a)}, b = {scalar_text(b)}")
+        if not epsilon > 0:
+            raise InvalidTolerance(f"epsilon must be positive, got {scalar_text(epsilon)}")
+        _require_int("max_steps", max_steps)
+        if not isinstance(stop_early, bool):
+            raise TypeError(f"stop_early must be a bool, got {type(stop_early).__name__}")
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+        self._init(a, b, epsilon, max_steps, weight_mode, backend, stop_early)
 
     @property
     def original_width(self) -> Scalar:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
     """Everything observable about one step."""
 
-    n: int
-    a_n: Scalar
-    b_n: Scalar
-    c_n: Scalar
-    f_c_n: Scalar
-    d_n: Scalar
+    __slots__ = ("n", "a_n", "b_n", "c_n", "f_c_n", "d_n")
+
+    def __init__(self, n: int, a_n: Scalar, b_n: Scalar, c_n: Scalar, f_c_n: Scalar, d_n: Scalar):
+        init_field(self, "n", n)
+        init_field(self, "a_n", a_n)
+        init_field(self, "b_n", b_n)
+        init_field(self, "c_n", c_n)
+        init_field(self, "f_c_n", f_c_n)
+        init_field(self, "d_n", d_n)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """A completed run: config, per-step records, and the final estimate.
 
     ``limit_estimate`` is the last computed midpoint, and
@@ -353,15 +351,13 @@ class Trace:
     early-stop rule fired, else None.
     """
 
-    config: ProblemConfig
-    steps: Tuple[StepRecord, ...]
-    limit_estimate: Scalar
-    limit_error_bound: Scalar
-    stopped_early_at: Optional[int] = None
+    __slots__ = ("config", "steps", "limit_estimate", "limit_error_bound", "stopped_early_at")
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    def __init__(self, config: ProblemConfig, steps: Tuple[StepRecord, ...], limit_estimate: Scalar,
+                 limit_error_bound: Scalar, stopped_early_at: Optional[int] = None):
+        if not steps:
             raise ValueError("a trace records at least one step")
+        self._init(config, steps, limit_estimate, limit_error_bound, stopped_early_at)
 
 
 def cauchy_bound(m: int, original_width: Scalar) -> Scalar:
@@ -427,9 +423,6 @@ def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
 # ---------------------------------------------------------------------------
 # JSONL trace format
 
-# json.dumps(x) of a non-finite float: Infinity, -Infinity or NaN.
-_nonfinite_json = json.JSONEncoder().encode
-
 # The trace lines over JSON texts; the backend name and the mode need no escaping.
 _HEAD = '{{"a":{},"b":{},"epsilon":{},"backend":"{}","mode":"{}","max_steps":{}{}}}'.format
 _STEP = '{{"n":{},"a_n":{},"b_n":{},"c_n":{},"f_c_n":{},"d_n":{}}}'.format
@@ -490,6 +483,8 @@ def _exact_step(match, n: int, dens: dict) -> Optional[StepRecord]:
 
 
 def _parse_line(text: str, what: str, lineno: int) -> dict:
+    import json
+
     try:
         obj = json.loads(text)
     except ValueError as exc:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -40,6 +39,7 @@ from operator import add, mul
 from typing import List, Tuple, Union
 
 from .numerics import _aligned, reduced, scalar_text
+from .record import Record, init_field
 
 __all__ = [
     "Var",
@@ -63,91 +63,87 @@ __all__ = [
 ]
 
 
-class _Node:
+class _Node(Record):
     """Base of the expression nodes.
 
     ``eval_exact``/``eval_float`` cache compiled closures on the node they
-    evaluate.  Closures cannot be pickled, so the cache stays out of the
-    pickled (and copied) state and is rebuilt on first use.
+    evaluate, in two slots that are no fields: equality, hashing and repr
+    ignore them, and a pickled or copied node compiles again on first use.
     """
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in _CODE_ATTRS}
+    __slots__ = ("_exact_code", "_float_code")
 
 
-_CODE_ATTRS = ("_exact_code", "_float_code")
+class _Unary(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "FunctionExpr"):
+        init_field(self, "operand", operand)
 
 
-@dataclass(frozen=True)
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "FunctionExpr", right: "FunctionExpr"):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+
+
 class Var(_Node):
     """The single free variable ``x``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class RationalConst(_Node):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class Neg(_Node):
-    operand: "FunctionExpr"
+    def __init__(self, value: Fraction):
+        init_field(self, "value", value if isinstance(value, Fraction) else Fraction(value))
 
 
-@dataclass(frozen=True)
-class Add(_Node):
-    left: "FunctionExpr"
-    right: "FunctionExpr"
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sub(_Node):
-    left: "FunctionExpr"
-    right: "FunctionExpr"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(_Node):
-    left: "FunctionExpr"
-    right: "FunctionExpr"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(_Node):
-    left: "FunctionExpr"
-    right: "FunctionExpr"
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(_Node):
-    base: "FunctionExpr"
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
+    def __init__(self, base: "FunctionExpr", exponent: int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise ValueError("power exponent must be an int")
-        if self.exponent < 0:
+        if exponent < 0:
             raise ValueError("power exponent must be non-negative")
+        init_field(self, "base", base)
+        init_field(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Min(_Node):
-    left: "FunctionExpr"
-    right: "FunctionExpr"
+class Min(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Max(_Node):
-    left: "FunctionExpr"
-    right: "FunctionExpr"
+class Max(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Abs(_Node):
-    operand: "FunctionExpr"
+class Abs(_Unary):
+    __slots__ = ()
 
 
 FunctionExpr = Union[Var, RationalConst, Neg, Add, Sub, Mul, Div, Pow, Min, Max, Abs]

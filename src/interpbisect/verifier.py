@@ -27,67 +27,58 @@ divisor is evaluated point by point instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, count
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .core import EXACT, StepRecord, Trace, _require_int, cauchy_bound
+from .core import EXACT, BackendNotExact, StepRecord, Trace, _require_int, cauchy_bound
 from .funcdsl import FunctionExpr, _compile_grid, eval_exact
 from .numerics import format_rational, scalar_text
+from .record import Record, init_field
 
-__all__ = [
-    "BackendNotExact",
-    "WitnessFound",
-    "SignsStraddle",
-    "Violation",
-    "ClaimOutcome",
-    "WitnessKind",
-    "WitnessCertificate",
-    "ContinuityBudget",
-    "check_claim",
-    "extract_witness",
-    "continuity_budget_check",
-    "grid_oracle",
-    "report_to_json",
-]
+# The package lists the public names, to load this module on first use of one.
+from . import _VERIFIER_NAMES as __all__
 
 
-class BackendNotExact(ValueError):
-    """Raised when a check that needs exact arithmetic gets a float trace."""
+class WitnessFound(Record):
+    """Some midpoint up to this step is an approximate root: ``value`` is f(c_j), re-evaluated."""
+
+    __slots__ = ("j", "value")
+
+    def __init__(self, j: int, value: Fraction):
+        init_field(self, "j", j)
+        init_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class WitnessFound:
-    """Some midpoint up to this step is an approximate root."""
-
-    j: int
-    value: Fraction  # f(c_j), re-evaluated, |value| < epsilon
-
-
-@dataclass(frozen=True)
-class SignsStraddle:
+class SignsStraddle(Record):
     """The step's endpoints bracket a sign change: f(a_m) < 0 < f(b_m)."""
 
-    f_a_m: Fraction
-    f_b_m: Fraction
+    __slots__ = ("f_a_m", "f_b_m")
+
+    def __init__(self, f_a_m: Fraction, f_b_m: Fraction):
+        init_field(self, "f_a_m", f_a_m)
+        init_field(self, "f_b_m", f_b_m)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """Neither disjunct holds; the trace does not come from this iteration."""
 
-    detail: str
+    __slots__ = ("detail",)
+
+    def __init__(self, detail: str):
+        init_field(self, "detail", detail)
 
 
 ClaimCase = Union[WitnessFound, SignsStraddle, Violation]
 
 
-@dataclass(frozen=True)
-class ClaimOutcome:
-    m: int
-    case: ClaimCase
+class ClaimOutcome(Record):
+    __slots__ = ("m", "case")
+
+    def __init__(self, m: int, case: ClaimCase):
+        init_field(self, "m", m)
+        init_field(self, "case", case)
 
 
 class WitnessKind(Enum):
@@ -99,8 +90,7 @@ class WitnessKind(Enum):
     GRID = "grid"
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(Record):
     """A point together with its re-evaluated function value.
 
     For MIDPOINT and GRID certificates |f_x| < epsilon holds by
@@ -109,14 +99,13 @@ class WitnessCertificate:
     run converged toward.
     """
 
-    kind: WitnessKind
-    x: Fraction
-    f_x: Fraction
-    index: Optional[int] = None
+    __slots__ = ("kind", "x", "f_x", "index")
+
+    def __init__(self, kind: WitnessKind, x: Fraction, f_x: Fraction, index: Optional[int] = None):
+        self._init(kind, x, f_x, index)
 
 
-@dataclass(frozen=True)
-class ContinuityBudget:
+class ContinuityBudget(Record):
     """Exact comparisons backing a delta-based continuity argument.
 
     ``limit_gap_ok``: (b - a) / 2^(m-1) < delta / 2, a certified
@@ -126,10 +115,10 @@ class ContinuityBudget:
     the limit and the window within delta of each other around c_m.
     """
 
-    delta: Fraction
-    m: int
-    limit_gap_ok: bool
-    halfwidth_ok: bool
+    __slots__ = ("delta", "m", "limit_gap_ok", "halfwidth_ok")
+
+    def __init__(self, delta: Fraction, m: int, limit_gap_ok: bool, halfwidth_ok: bool):
+        self._init(delta, m, limit_gap_ok, halfwidth_ok)
 
     @property
     def passed(self) -> bool:

@@ -1,7 +1,9 @@
 """Command line contract: flags, exit codes, files written, SVG content."""
 
+import ast
 import hashlib
 import json
+import os
 import re
 import shlex
 import shutil
@@ -653,6 +655,17 @@ class TestPlot:
         )
         assert code == EXIT_USAGE
 
+    def test_samples_are_capped(self, short_trace, tmp_path, capsys):
+        # Rendering time and memory grow linearly in the sample count.
+        svg_path = tmp_path / "r.svg"
+        argv = ["plot", "-t", short_trace, "-f", SAMPLE_TEXT, "--out", svg_path, "--samples"]
+        code, _, err = run_cli([*argv, "65537"], capsys)
+        assert (code, err) == (EXIT_USAGE, "error: at most 65536 curve samples, got 65537\n")
+        assert not svg_path.exists()
+        code, _, err = run_cli([*argv, "65536"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert svg_path.read_text().count(" L") == 65535
+
     def test_function_with_pole_still_plots(self, tmp_path, capsys):
         # curve sampling tolerates isolated evaluation failures
         trace = tmp_path / "t.jsonl"
@@ -765,6 +778,46 @@ class TestInProcessCalls:
         assert codes.pop("no epsilon") == codes.pop("unknown flag") == EXIT_USAGE
         assert set(codes.values()) == {EXIT_OK}
         assert sorted(first[1]) == ["compare.csv", "exact.jsonl", "float.jsonl", "plot.svg"]
+
+
+# Run by a fresh interpreter: the modules ``import interpbisect,
+# interpbisect.cli`` loads, then what a star import binds and what the
+# lazily loaded names resolve to.
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import interpbisect, interpbisect.cli
+loaded = sorted(set(sys.modules) - before)
+star = {}
+exec("from interpbisect import *", star)
+from interpbisect import cli
+lazy = (interpbisect.check_claim, cli.PlotSpec, cli.render_trace_svg, cli.PlotError)
+print(repr((loaded, sorted(set(star) - {"__builtins__"}), sorted(interpbisect.__all__),
+            [f"{x.__module__}.{x.__name__}" for x in lazy])))
+"""
+
+
+class TestImport:
+    def test_the_cli_import_loads_only_what_every_command_needs(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(src)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, star, public, lazy = ast.literal_eval(proc.stdout)
+        unwanted = ["dataclasses", "inspect", "json", "interpbisect.verifier", "interpbisect.svg"]
+        assert [name for name in unwanted if name in loaded] == []
+        assert star == public
+        assert lazy == [
+            "interpbisect.verifier.check_claim",
+            "interpbisect.svg.PlotSpec",
+            "interpbisect.svg.render_trace_svg",
+            "interpbisect.svg.PlotError",
+        ]
 
 
 class TestProcessLevel:
