@@ -36,11 +36,11 @@ one config line, one line per step, one final line.  Exact scalars are
 ``num/den`` strings, float scalars are JSON numbers.  Each line is one
 format string over JSON texts: digits need no escaping, so the bytes are
 ``json.dumps``'s.  Writing and reading an exact trace converts each
-distinct denominator between int and text once per call.  The reader
-takes each exact step line the writer wrote in one regular-expression
-match; any other line, and any line the match leaves in doubt (an
-out-of-order n, a zero denominator), is read as JSON, which names the
-fault.
+distinct denominator between int and text once per call.  Step lines
+have one grammar, the writer's: the reader takes each in one
+regular-expression match per backend, exact values in lowest terms and
+float values read by value, and refuses any other step line, naming the
+first field that departs.  The config and final lines are read as JSON.
 """
 
 from __future__ import annotations
@@ -156,16 +156,20 @@ class ExactBackend:
         """``num/den`` text, the denominator always present."""
         return format_rational(value)
 
-    def _trace_codec(self, dens=None):
-        """``(to_json, from_json)`` for one trace call.
+    # A step line's value as the writer writes it, as two groups for _read_pair.
+    _step_value = f'"{_PLAIN}"'
+
+    def _trace_codec(self):
+        """``(to_json, from_json, read_step)`` for one trace call.
 
         ``to_json`` writes the JSON text of :meth:`format`'s ``num/den``
-        string; ``from_json`` reads the decoded string.  Both convert each
-        distinct denominator once per call (see :mod:`interpbisect.numerics`);
-        ``from_json`` shares ``dens``, a ``_read_pair`` memo, when given one.
+        string; ``from_json`` reads a config or final line's decoded
+        string.  ``read_step(match, n)`` is the record of step ``n`` from a
+        match of the step line, or None when a value is not in lowest
+        terms.  Each converts a distinct denominator once per call (see
+        :mod:`interpbisect.numerics`); the two readers share one memo.
         """
-        if dens is None:
-            dens = {}
+        dens = {}
 
         def from_json(value: Union[str, int, float]) -> Fraction:
             if not isinstance(value, str):
@@ -175,7 +179,18 @@ class ExactBackend:
             q = _read_plain(value, dens)
             return parse_rational(value) if q is None else q
 
-        return _DenTexts().json, from_json
+        def read_step(match, n: int) -> Optional[StepRecord]:
+            _, an, ad, bn, bd, cn, cd, fn, fd, dn, dd = match.groups()
+            a = _read_pair(an, ad, dens)
+            b = _read_pair(bn, bd, dens)
+            c = _read_pair(cn, cd, dens)
+            f_c = _read_pair(fn, fd, dens)
+            d = _read_pair(dn, dd, dens)
+            if a is None or b is None or c is None or f_c is None or d is None:
+                return None
+            return StepRecord(n, a, b, c, f_c, d)
+
+        return _DenTexts().json, from_json, read_step
 
     def midpoint(self, a: Fraction, b: Fraction) -> Fraction:
         x, y, u, v = _aligned(a.numerator, a.denominator, b.numerator, b.denominator)
@@ -232,10 +247,16 @@ class FloatBackend:
         """Shortest round-trip decimal text."""
         return repr(float(value))
 
-    def _trace_codec(self, dens=None):
-        """``(to_json, from_json)`` for one trace: floats are JSON numbers, as text.
+    # A step line's value as the writer writes it: a JSON number with a
+    # fraction part or a signed exponent, as repr writes a finite float,
+    # or json's Infinity, -Infinity and NaN.  It is read by value.
+    _step_value = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)|-?Infinity|NaN)"
 
-        ``dens`` is accepted for :class:`ExactBackend`'s signature and unused.
+    def _trace_codec(self):
+        """``(to_json, from_json, read_step)`` for one trace: floats are JSON numbers, as text.
+
+        As :meth:`ExactBackend._trace_codec`'s, except that ``read_step``
+        reads every match: floats are read by value, never refused.
         """
 
         def from_json(value: Union[str, int, float]) -> float:
@@ -243,17 +264,19 @@ class FloatBackend:
                 raise ValueError(f"float trace values must be numbers, got {value!r}")
             return float(value)
 
+        def read_step(match, n: int) -> StepRecord:
+            _, a, b, c, f_c, d = match.groups()
+            return StepRecord(n, float(a), float(b), float(c), float(f_c), float(d))
+
         fmt = self.format
 
         def to_json(value: float) -> str:
-            # json writes a finite float as its repr, which is format's text.
+            # As json writes it: a finite float as its repr, which is format's text.
             if isfinite(value):
                 return fmt(value)
-            import json
+            return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
-            return json.dumps(float(value))  # Infinity, -Infinity or NaN
-
-        return to_json, from_json
+        return to_json, from_json, read_step
 
     def midpoint(self, a: float, b: float) -> float:
         return (a + b) / 2
@@ -437,7 +460,7 @@ def trace_to_jsonl(trace: Trace) -> str:
     """
     config = trace.config
     backend = config.backend
-    text, _ = backend._trace_codec()
+    text = backend._trace_codec()[0]
     a, b, epsilon = (text(v) for v in (config.a, config.b, config.epsilon))
     stop = ',"stop_early":true' if config.stop_early else ""
     lines = [_HEAD(a, b, epsilon, backend.name, config.weight_mode.value, config.max_steps, stop)]
@@ -452,34 +475,34 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 
 @cache
-def _exact_step_line():
-    """``fullmatch`` of a ``_STEP`` line over ``"num/den"`` strings, compiled on first use.
+def _step_grammar(backend):
+    """``(fullmatch, fields)`` of ``backend``'s step lines, compiled on first use.
 
-    Group 1 is n, capped at 18 digits so that int() cannot raise; groups
-    2 to 11 are each value's numerator and denominator digits.
+    ``fullmatch`` takes a ``_STEP`` line as the writer writes it; group 1
+    is n, capped at 18 digits so that int() cannot raise.  ``fields`` pairs
+    each key with its field's pattern, separator first, for :func:`_refusal`.
     """
-    # The line's own braces need no escape: re reads a brace that starts
-    # no {m,n} repeat as itself.
-    return re.compile(_STEP("([1-9][0-9]{0,17})", *[f'"{_PLAIN}"'] * 5)).fullmatch
+    texts = ["([1-9][0-9]{0,17})"] + [backend._step_value] * 5
+    # The template's text around its fields: '\{"n":', ',"a_n":', ..., '\}'.
+    parts = [re.escape(part) for part in _STEP(*["\0"] * 6).split("\0")]
+    fields = [(p.strip('\\{,":'), re.compile(p + t)) for p, t in zip(parts, texts)]
+    return re.compile("".join(f.pattern for _, f in fields) + parts[-1]).fullmatch, fields
 
 
-def _exact_step(match, n: int, dens: dict) -> Optional[StepRecord]:
-    """The record of step ``n`` from a match of :func:`_exact_step_line`.
-
-    None when the line holds another n or a zero denominator; the caller
-    then reads it as JSON, which raises the error that names the fault.
-    """
-    index, an, ad, bn, bd, cn, cd, fn, fd, dn, dd = match.groups()
-    if int(index) != n:
-        return None
-    a = _read_pair(an, ad, dens)
-    b = _read_pair(bn, bd, dens)
-    c = _read_pair(cn, cd, dens)
-    f_c = _read_pair(fn, fd, dens)
-    d = _read_pair(dn, dd, dens)
-    if a is None or b is None or c is None or f_c is None or d is None:
-        return None
-    return StepRecord(n, a, b, c, f_c, d)
+def _refusal(line: str, n: int, fields) -> TraceFormatError:
+    """The error for step line ``n``: its first field not in the writer's form, or its index."""
+    if not line.strip():
+        return TraceFormatError(f"line {n + 1}: blank line")
+    pos = 0
+    for key, field in fields:
+        match = field.match(line, pos)
+        # An exact value matches as two groups.
+        if match is None or match.lastindex == 2 and _read_pair(*match.groups(), {}) is None:
+            return TraceFormatError(f"line {n + 1}: step line departs from the writer's form at {key!r}")
+        if key == "n" and int(match[1]) != n:
+            return TraceFormatError(f"line {n + 1}: step index {match[1]} out of order (expected {n})")
+        pos = match.end()
+    return TraceFormatError(f"line {n + 1}: step line departs from the writer's form after 'd_n'")
 
 
 def _parse_line(text: str, what: str, lineno: int) -> dict:
@@ -505,17 +528,17 @@ def trace_from_jsonl(text: str) -> Trace:
     """Parse a trace serialized by :func:`trace_to_jsonl`.
 
     Raises:
-        TraceFormatError: on any structural problem: bad JSON, missing
-            keys, wrong scalar encodings, step indices that are not
-            consecutive integers, or a step count other than
-            ``stopped_early_at`` (which needs ``stop_early``) or else
-            ``max_steps``.
+        TraceFormatError: naming the file line of the first structural
+            problem: bad JSON, missing keys or wrong scalar encodings, a
+            step line not as the writer writes it, a blank line before the
+            final line, or a step count other than ``stopped_early_at``
+            (which needs ``stop_early``) or else ``max_steps``.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = text.split("\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
     if len(lines) < 3:
-        raise TraceFormatError(
-            "a trace needs a config line, at least one step line, and a final line"
-        )
+        raise TraceFormatError(f"line {max(len(lines), 1)}: a trace needs a config line, a step line and a final line")
 
     head = _parse_line(lines[0], "the config", 1)
     name = _take(head, "backend", 1)
@@ -524,54 +547,34 @@ def trace_from_jsonl(text: str) -> Trace:
         raise TraceFormatError(
             f"line 1: unknown backend {name!r} (expected 'exact' or 'float')"
         )
-    # The step lines' match path and from_json share one denominator memo.
-    dens = {}
-    _, from_json = backend._trace_codec(dens)
+    _, from_json, read_step = backend._trace_codec()
+    # Taken before the handlers below, which would prefix the line again.
+    mode, a, b, epsilon, max_steps = (_take(head, k, 1) for k in ("mode", "a", "b", "epsilon", "max_steps"))
     try:
-        mode = WeightMode(_take(head, "mode", 1))
+        mode = WeightMode(mode)
     except ValueError as exc:
         raise TraceFormatError(f"line 1: {exc}") from exc
     try:
         config = ProblemConfig(
-            a=from_json(_take(head, "a", 1)),
-            b=from_json(_take(head, "b", 1)),
-            epsilon=from_json(_take(head, "epsilon", 1)),
-            max_steps=_take(head, "max_steps", 1),
+            a=from_json(a),
+            b=from_json(b),
+            epsilon=from_json(epsilon),
+            max_steps=max_steps,
             weight_mode=mode,
             backend=backend,
             stop_early=head.get("stop_early", False),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # Overflow: float(a huge JSON integer)
         raise TraceFormatError(f"line 1: bad config: {exc}") from exc
 
-    # Canonical exact step lines take one match; every other line, and any
-    # line the match path refuses, is read as JSON.
-    step_line = _exact_step_line() if backend is EXACT else None
+    # Step n is file line n + 1, read in one match.
+    fullmatch, fields = _step_grammar(backend)
     records = []
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        match = step_line and step_line(line)
-        if match:
-            rec = _exact_step(match, lineno - 1, dens)
-            if rec is not None:
-                records.append(rec)
-                continue
-        obj = _parse_line(line, "a step", lineno)
-        try:
-            rec = StepRecord(
-                n=_take(obj, "n", lineno),
-                a_n=from_json(_take(obj, "a_n", lineno)),
-                b_n=from_json(_take(obj, "b_n", lineno)),
-                c_n=from_json(_take(obj, "c_n", lineno)),
-                f_c_n=from_json(_take(obj, "f_c_n", lineno)),
-                d_n=from_json(_take(obj, "d_n", lineno)),
-            )
-            _require_int("n", rec.n)
-        except (ValueError, TypeError) as exc:
-            raise TraceFormatError(f"line {lineno}: bad step: {exc}") from exc
-        if rec.n != lineno - 1:
-            raise TraceFormatError(
-                f"line {lineno}: step index {rec.n} out of order (expected {lineno - 1})"
-            )
+    for n in range(1, len(lines) - 1):
+        match = fullmatch(lines[n])
+        rec = match and int(match[1]) == n and read_step(match, n)
+        if not rec:
+            raise _refusal(lines[n], n, fields)
         records.append(rec)
 
     lineno = len(lines)
@@ -586,13 +589,14 @@ def trace_from_jsonl(text: str) -> Trace:
         raise TraceFormatError(f"line {lineno}: stopped_early_at without stop_early")
     if stopped is not None and not stopped == count <= most:
         raise TraceFormatError(f"line {lineno}: {count} steps, max_steps {most}, stopped_early_at {stopped}")
+    estimate, bound = (_take(tail, k, lineno) for k in ("limit_estimate", "limit_error_bound"))
     try:
         return Trace(
             config=config,
             steps=tuple(records),
-            limit_estimate=from_json(_take(tail, "limit_estimate", lineno)),
-            limit_error_bound=from_json(_take(tail, "limit_error_bound", lineno)),
+            limit_estimate=from_json(estimate),
+            limit_error_bound=from_json(bound),
             stopped_early_at=stopped,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise TraceFormatError(f"line {lineno}: bad final line: {exc}") from exc

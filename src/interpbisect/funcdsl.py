@@ -33,9 +33,6 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
-from math import gcd, lcm
-from operator import add, mul
 from typing import List, Tuple, Union
 
 from .numerics import _aligned, reduced, scalar_text
@@ -330,133 +327,6 @@ def _exact_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
 
 
 _compile_exact = partial(_lower, node=_exact_node, fold=_exact_fold)
-
-
-# Grid columns.  On a grid x = u/den with den fixed, every subtree whose
-# divisors are nonzero constants has one constant scale s > 0: its value
-# at each grid point is N(u)/s with N an integer.  _compile_grid turns
-# such a tree into one C-level ``map`` per node over a block of
-# numerators u, aligning scales by their lcm; the verifier's grid oracle
-# scans with it and builds a Fraction only for the point it reports.
-# Each node also gets an integer enclosure at its own scale: interval
-# arithmetic over the numerators (Moore, Interval Analysis, 1966), with
-# lo <= N(u) <= hi for every u in [u_lo, u_hi], so the oracle can skip a
-# run of points that no hit can lie in.  A grid pair is
-# ((column, enclose, s), const).
-
-
-class _NoColumn(Exception):
-    """A divisor depends on x or is zero: scan point by point."""
-
-
-def _magnitude(lo: int, hi: int):
-    """The enclosure of |N| from the enclosure [lo, hi] of N."""
-    if lo >= 0:
-        return lo, hi
-    return (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
-
-
-def _grid_times(f, e, m: int, c=None):
-    """``(column, enclose)`` of ``f`` times the integer ``m``.
-
-    The column is an endless ``repeat`` if ``f`` is the constant ``c``.
-    """
-    if c is not None:
-        n = c.numerator * m
-        return (lambda us: repeat(n)), (lambda lo, hi: (n, n))
-    if m == 1:
-        return f, e
-
-    def enclose(lo, hi):
-        lo, hi = e(lo, hi)
-        return (lo * m, hi * m) if m > 0 else (hi * m, lo * m)
-
-    return (lambda us: map(mul, f(us), repeat(m))), enclose
-
-
-def _grid_const(c: Fraction):
-    n = c.numerator
-    return ((lambda us: repeat(n, len(us))), (lambda lo, hi: (n, n)), c.denominator), c
-
-
-def _grid_fold(code):
-    f, _, s = code
-    return _grid_const(Fraction(next(f(range(1))), s))
-
-
-def _grid_node(den: int, expr: FunctionExpr, path: Tuple[str, ...], kids):
-    """The grid pair for one node on the points x = u/den (see _lower)."""
-    kind = type(expr)
-    if kind is Var:
-        return ((lambda us: us), (lambda lo, hi: (lo, hi)), den), None
-    if kind is RationalConst:
-        return _grid_const(expr.value)
-    (f, e, s), c = kids[0]
-    if kind is Pow:
-        k = expr.exponent
-        if k == 0:
-            return _grid_const(Fraction(1))
-
-        def enclose(lo, hi):
-            lo, hi = e(lo, hi)
-            if not k & 1:
-                lo, hi = _magnitude(lo, hi)
-            return lo**k, hi**k
-
-        return ((lambda us: map(pow, f(us), repeat(k))), enclose, s**k), None
-    if kind is Neg:
-        return (*_grid_times(f, e, -1), s), None
-    if kind is Abs:
-        return ((lambda us: map(abs, f(us))), (lambda lo, hi: _magnitude(*e(lo, hi))), s), None
-    (g, h, t), d = kids[1]
-    if kind is Div:
-        if d is None or d == 0:
-            raise _NoColumn
-        # u / d is u * (1/d); the Fraction moves d's sign to the numerator.
-        kind, d = Mul, 1 / d
-    if kind is Mul:
-        if c is None and d is None:
-            def enclose(lo, hi):
-                a, b = e(lo, hi)
-                p, q = h(lo, hi)
-                products = a * p, a * q, b * p, b * q
-                return min(products), max(products)
-
-            return ((lambda us: map(mul, f(us), g(us))), enclose, s * t), None
-        if d is None:
-            d, f, e, s = c, g, h, t
-        s *= d.denominator
-        m = gcd(d.numerator, s)
-        return (*_grid_times(f, e, d.numerator // m), s // m), None
-    scale = lcm(s, t)
-    f, e = _grid_times(f, e, scale // s, c)
-    # f - g is f + (-1) g; add, min and max are monotone in both operands.
-    g, h = _grid_times(g, h, -(scale // t) if kind is Sub else scale // t, d)
-    op = min if kind is Min else max if kind is Max else add
-
-    def enclose(lo, hi):
-        a, b = e(lo, hi)
-        p, q = h(lo, hi)
-        return op(a, p), op(b, q)
-
-    return ((lambda us: map(op, f(us), g(us))), enclose, scale), None
-
-
-def _compile_grid(expr: FunctionExpr, den: int):
-    """``(fn, enclose, s)`` tabulating ``expr`` on the points x = u/den, or None.
-
-    ``fn(us)`` maps a block of integer numerators ``us`` (a ``range``)
-    to an iterator over the integers N with expr(u/den) = N/s, for one
-    scale s > 0 fixed here.  ``enclose(u_lo, u_hi)`` is a pair of
-    integers (lo, hi) with lo <= N(u) <= hi for every integer u in
-    [u_lo, u_hi].  None when a divisor depends on x or is zero, or a
-    subtree without x divides by zero: those trees are evaluated point
-    by point, where the error names its x and node.
-    """
-    try:
-        return _lower(expr, (), partial(_grid_node, den), _grid_fold)[0]
-    except _NoColumn:
-        return None
 
 
 def _float_fold(fn):

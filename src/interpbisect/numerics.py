@@ -10,8 +10,8 @@ denominators are a power of two times a small odd cofactor: thousands of
 bits, nearly all of them twos.  :func:`reduced` therefore brings a
 ``num/den`` pair to lowest terms by shifting out the common power of two
 and taking the gcd of what is left, instead of a full gcd over every
-bit.  The hot normalizations go through it: trace decoding, the
-evaluator's results, and the exact backend's weight and window updates.
+bit.  The hot normalizations go through it: the evaluator's results,
+and the exact backend's weight and window updates.
 For the same reason :func:`_aligned` puts two such pairs over one
 denominator by shifting out the difference in their powers of two and
 multiplying by the odd parts only, where cross-multiplying would
@@ -32,12 +32,12 @@ shares it too.  So the trace writer and reader convert each distinct
 denominator once per call, through a memo dict per call
 (:class:`_DenTexts`, and the one :func:`_read_pair` takes); the writer
 quotes ``num/den`` itself, as digits need no JSON escape.  The reader's
-memo also keeps the denominator's power of two and odd part, so a value
-already in lowest terms (nearly every value a trace holds) is built
-after one gcd against the odd part, or none.  Numerators are converted
-every time: the ones that repeat are saturated weights like ``1/1``,
-and a memo lookup that misses costs more than converting a small
-integer.
+memo also keeps the denominator's power of two and odd part, so it
+tells a value in lowest terms (the only form the writer writes) after
+one gcd against the odd part, or none, and builds it without another.
+Numerators are converted every time: the ones that repeat are saturated
+weights like ``1/1``, and a memo lookup that misses costs more than
+converting a small integer.
 """
 
 from __future__ import annotations
@@ -168,33 +168,31 @@ def _digits_int(text: str) -> int:
 
 
 def _read_pair(num: str, den: str, dens: dict) -> Optional[Fraction]:
-    """The value of ``num/den`` for digit texts ``-?[0-9]+`` and ``[0-9]+``; None if den is 0.
+    """The value of ``num/den`` for the digit texts of a :data:`_PLAIN` match; None unless in lowest terms.
 
     ``dens`` memoizes denominator text -> (d, k, p) with d = 2^k p, p odd,
-    for one trace reader.  A trace's values are nearly always in lowest
-    terms already; they are built with :data:`_coprime` when n is odd or d
-    is, and n is coprime to p, and reduced otherwise.
+    for one trace reader.  num/d is in lowest terms when n is odd or d
+    is, and n is coprime to p; it is then built with :data:`_coprime`.
     """
     shape = dens.get(den)
     if shape is None:
         d = _digits_int(den)
-        if not d:
-            return None
         k = (d & -d).bit_length() - 1
         shape = dens[den] = d, k, d >> k
     d, k, p = shape
     n = _digits_int(num)
     if (n & 1 or not k) and (p == 1 or gcd(n, p) == 1):
         return _coprime(n, d)
-    return reduced(n, d)
+    return None
 
 
-# The trace format's ``num/den`` text, as two groups for _read_pair.
-_PLAIN = r"(-?[0-9]+)/([0-9]+)"
+# The trace format's ``num/den`` text, as two groups for _read_pair: no
+# sign on zero, no leading zeros, a positive denominator.
+_PLAIN = r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)"
 
 
 def _read_plain(text: str, dens: dict) -> Optional[Fraction]:
-    """The trace format's own ``-?[0-9]+/[0-9]+`` with a positive denominator.
+    """The value of the trace format's own ``num/den`` text, in lowest terms.
 
     None for every other text, which :func:`parse_rational` reads (or
     refuses) on its general path.  ``dens`` is :func:`_read_pair`'s memo.

@@ -511,6 +511,20 @@ class TestVerify:
         code, _, err = run_cli(["verify", "-t", out, "-f", SAMPLE_TEXT], capsys)
         assert code == EXIT_OK and err == ""
 
+    @pytest.mark.parametrize(
+        "old,new,field",
+        [('"d_n":"13/14"', '"d_n":"26/28"', "d_n"), ('"c_n":"0/1"', '"c_n": "0/1"', "c_n")],
+    )
+    def test_hand_edited_step_line_is_usage_error(self, tmp_path, capsys, old, new, field):
+        out = tmp_path / "t.jsonl"
+        assert run_cli(RUN_SAMPLE + ["--max-steps", "5", "--out", out], capsys)[0] == EXIT_OK
+        text = out.read_text()
+        assert text.count(old) == 1
+        out.write_text(text.replace(old, new))
+        code, stdout, err = run_cli(["verify", "-t", out, "-f", SAMPLE_TEXT], capsys)
+        assert code == EXIT_USAGE and stdout == ""
+        assert err == f"trace: line 2: step line departs from the writer's form at {field!r}\n"
+
     def test_deeply_nested_trace_line_is_usage_error(self, tmp_path, capsys):
         # json's decoder recurses once per nested array.
         bad = tmp_path / "deep.jsonl"
@@ -789,11 +803,13 @@ sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import interpbisect, interpbisect.cli
 loaded = sorted(set(sys.modules) - before)
+grid = sorted(name for name in vars(interpbisect.funcdsl) if "grid" in name or name in (
+    "_NoColumn", "_magnitude"))
 star = {}
 exec("from interpbisect import *", star)
 from interpbisect import cli
 lazy = (interpbisect.check_claim, cli.PlotSpec, cli.render_trace_svg, cli.PlotError)
-print(repr((loaded, sorted(set(star) - {"__builtins__"}), sorted(interpbisect.__all__),
+print(repr((loaded, grid, sorted(set(star) - {"__builtins__"}), sorted(interpbisect.__all__),
             [f"{x.__module__}.{x.__name__}" for x in lazy])))
 """
 
@@ -808,9 +824,11 @@ class TestImport:
             env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 0, proc.stderr
-        loaded, star, public, lazy = ast.literal_eval(proc.stdout)
+        loaded, grid, star, public, lazy = ast.literal_eval(proc.stdout)
         unwanted = ["dataclasses", "inspect", "json", "interpbisect.verifier", "interpbisect.svg"]
         assert [name for name in unwanted if name in loaded] == []
+        # The grid builder lives beside grid_oracle, its one caller.
+        assert grid == []
         assert star == public
         assert lazy == [
             "interpbisect.verifier.check_claim",

@@ -27,6 +27,7 @@ from interpbisect import (
     cauchy_bound,
     format_rational,
     parse,
+    parse_rational,
     run,
     trace_from_jsonl,
     trace_to_jsonl,
@@ -521,40 +522,75 @@ class TestTraceJsonl:
         "text,expected",
         [
             # Fraction reads underscores from Python 3.11 on.
-            (
-                "1_0/4",
-                F(5, 2) if sys.version_info >= (3, 11)
-                else "line 2: bad step: not a rational number: '1_0/4'",
-            ),
+            ("1_0/4", F(5, 2) if sys.version_info >= (3, 11) else None),
             (" 1/2", F(1, 2)),
             ("+1/2", F(1, 2)),
             ("\u0663/4", F(3, 4)),
-            ("1/0", "line 2: bad step: not a rational number: '1/0'"),
-            ("-/3", "line 2: bad step: not a rational number: '-/3'"),
-            ("--1/2", "line 2: bad step: not a rational number: '--1/2'"),
-            ("1/-2", "line 2: bad step: not a rational number: '1/-2'"),
+            ("1/0", None),
+            ("-/3", None),
+            ("--1/2", None),
+            ("1/-2", None),
             ("2/4", F(1, 2)),
             ("-0/5", F(0)),
         ],
         ids=repr,
     )
     def test_step_text_reads_as_parse_rational_does(self, text, expected):
-        # Each text in f_c_n of both steps, so the second reading meets a
-        # denominator the reader has already seen.  The values and messages
-        # are those the reader gave before it memoized denominators.
+        # Each text in f_c_n of both steps.  A step line takes only the
+        # writer's num/den in lowest terms, so each is refused at the first
+        # one.  parse_rational, which reads the config and final lines'
+        # values, still reads a text as ``expected``, or refuses it (None).
         trace = run(ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3), max_steps=2), parse("x"))
         lines = trace_to_jsonl(trace).splitlines()
         for i in (1, 2):
             step = json.loads(lines[i])
             step["f_c_n"] = text
-            lines[i] = json.dumps(step)
-        if isinstance(expected, str):
-            with pytest.raises(TraceFormatError) as err:
-                trace_from_jsonl("\n".join(lines))
-            assert str(err.value) == expected
+            lines[i] = json.dumps(step, separators=(",", ":"))
+        with pytest.raises(TraceFormatError) as err:
+            trace_from_jsonl("\n".join(lines))
+        assert str(err.value) == "line 2: step line departs from the writer's form at 'f_c_n'"
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse_rational(text)
         else:
-            back = trace_from_jsonl("\n".join(lines))
-            assert back.steps[0].f_c_n == back.steps[1].f_c_n == expected
+            assert parse_rational(text) == expected
+
+    @pytest.mark.parametrize(
+        "line,key", [(0, '"mode"'), (0, '"a"'), (0, '"max_steps"'), (-1, '"limit_error_bound"')]
+    )
+    def test_missing_key_names_its_line_once(self, sample, line, key):
+        trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=2), sample)
+        lines = trace_to_jsonl(trace).splitlines()
+        lines[line] = lines[line].replace(key, '"other"')
+        with pytest.raises(TraceFormatError) as err:
+            trace_from_jsonl("\n".join(lines))
+        assert str(err.value) == f"line {1 if line == 0 else 4}: missing key {key[1:-1]!r}"
+
+    @pytest.mark.parametrize("line,key", [(0, '"a":-1.0'), (-1, '"limit_error_bound":1.0')])
+    def test_float_integer_past_the_float_range_names_its_line(self, line, key):
+        trace = run(ProblemConfig(a=-1.0, b=1.0, epsilon=1 / 3, max_steps=2, backend=FLOAT64), parse("x"))
+        lines = trace_to_jsonl(trace).splitlines()
+        lines[line] = lines[line].replace(key, key[:-2] + "0" * 400)
+        with pytest.raises(TraceFormatError, match=f"^line {len(lines) if line else 1}: bad "):
+            trace_from_jsonl("\n".join(lines))
+
+    def test_lines_are_numbered_as_in_the_file(self, sample):
+        trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=4), sample)
+        text = trace_to_jsonl(trace)
+        lines = text.splitlines()
+        lines[3] = lines[3].replace('"n":3', '"n":9')
+        with pytest.raises(TraceFormatError, match=r"^line 4: step index 9 out of order \(expected 3\)$"):
+            trace_from_jsonl("\n".join(lines))
+        # The writer writes no blank line: one is refused at its own number,
+        # before the fault after it.
+        for blank in ("", " "):
+            with pytest.raises(TraceFormatError, match=r"^line 3: blank line$"):
+                trace_from_jsonl("\n".join(lines[:2] + [blank] + lines[2:]))
+        with pytest.raises(TraceFormatError, match=r"^line 1: not JSON"):
+            trace_from_jsonl("\n" + text)
+        # The final newline may be missing, or followed by blank lines.
+        for end in ("", "\n", "\n\n \n"):
+            assert trace_from_jsonl(text[:-1] + end) == trace
 
     def test_large_repeated_values_past_the_digit_limit(self):
         # Integers past CPython's int <-> text limit (4,300 digits by
@@ -597,14 +633,50 @@ class TestTraceJsonl:
         assert rec.c_n == F(0)
 
 
-# Step lines for TestStepLineMatch: the writer's line, with zero to two faults.
+# Texts for TestStepGrammar: the writer's output with one character
+# replaced, and exact step lines with zero to two faults.
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 _STEP_KEYS = ("n", "a_n", "b_n", "c_n", "f_c_n", "d_n")
+_BIG = F(10 ** (_DIGIT_LIMIT + 5) + 1, 3 ** 9000 << 9000)  # past the int <-> text limit
+
+
+@st.composite
+def _written_traces(draw):
+    """``trace_to_jsonl`` of a drawn exact or float trace: values of any size, NaN and infinities too."""
+    if draw(st.booleans()):
+        scalar, backend = F, EXACT
+        values = st.fractions() | st.sampled_from([F(0), F(-1, 3 << 70), _BIG])
+    else:
+        scalar, backend = float, FLOAT64
+        values = st.floats()
+    count = draw(st.integers(1, 4))
+    stopped = draw(st.sampled_from([None, count]))
+    config = ProblemConfig(
+        a=scalar(-1), b=scalar(1), epsilon=scalar(1) / 3, backend=backend,
+        max_steps=count + (draw(st.integers(0, 2)) if stopped else 0), stop_early=bool(stopped),
+    )
+    steps = tuple(StepRecord(n, *(draw(values) for _ in range(5))) for n in range(1, count + 1))
+    trace = Trace(config, steps, draw(values), draw(values), stopped_early_at=stopped)
+    return trace_to_jsonl(trace)
+
+
+@st.composite
+def _one_character_replaced(draw):
+    """A written trace with one character of a step line replaced, and that line's number.
+
+    The config and final lines are read as JSON, and their exact values as
+    parse_rational reads them, so a replacement there may read as another text.
+    """
+    text = draw(_written_traces())
+    start, end = text.index("\n") + 1, text.rindex("\n", 0, -1) + 1
+    i = draw(st.integers(start, end - 1))
+    char = draw(st.sampled_from('0123456789-+/.eE "{}:,_nI\n\r\u0663\u2028') | st.characters())
+    return text[:i] + char + text[i + 1:], [text.count("\n", 0, i) + 1]
 
 
 @st.composite
 def _plain_value_texts(draw):
-    """``num/den`` texts the match accepts, in lowest terms or not."""
+    """``num/den`` texts: the writer's, and others the match takes or nearly takes."""
     num = draw(st.integers(-(10**40), 10**40))
     den = draw(st.integers(1, 10**40))
     return draw(
@@ -658,38 +730,42 @@ def _step_lines(draw, n):
     return "{" + comma.join(f'"{k}"{colon}{v}' for k, v in (parts[i] for i in order)) + "}" + end
 
 
-class TestStepLineMatch:
-    """Exact step lines read in one match give what the JSON path gives."""
-
-    HEAD = (
+@st.composite
+def _faulty_step_lines(draw):
+    """An exact trace of one to three drawn step lines, and the step lines' numbers."""
+    lines = [draw(_step_lines(n)) for n in range(1, draw(st.integers(1, 3)) + 1)]
+    head = (
         '{"a":"-1/1","b":"1/1","epsilon":"1/3","backend":"exact",'
-        '"mode":"interpolated","max_steps":%d}'
+        f'"mode":"interpolated","max_steps":{len(lines)}}}'
     )
-    TAIL = '{"limit_estimate":"0/1","limit_error_bound":"1/1"}'
+    tail = '{"limit_estimate":"0/1","limit_error_bound":"1/1"}'
+    return "\n".join([head, *lines, tail]) + "\n", range(2, len(lines) + 2)
 
-    @staticmethod
-    def _read(text):
+
+class TestStepGrammar:
+    """Step lines have one grammar, the writer's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_one_character_replaced() | _faulty_step_lines())
+    def test_a_text_is_refused_at_its_line_or_reads_as_written(self, case):
+        text, linenos = case
         try:
-            return trace_from_jsonl(text)
+            trace = trace_from_jsonl(text)
         except TraceFormatError as exc:
-            return f"TraceFormatError: {exc}"
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(*map(_step_lines, range(1, k + 1)))))
-    def test_match_and_json_path_agree(self, lines):
-        text = "\n".join([self.HEAD % len(lines), *lines, self.TAIL]) + "\n"
-        matched = self._read(text)
-        with pytest.MonkeyPatch.context() as patch:
-            # No line matches: every step line is read as JSON.
-            patch.setattr(core, "_exact_step_line", lambda: lambda line: None)
-            assert self._read(text) == matched
-        if isinstance(matched, Trace):
-            for rec in matched.steps:
-                for q in (rec.a_n, rec.b_n, rec.c_n, rec.f_c_n, rec.d_n):
-                    assert type(q) is F and q == F(q.numerator, q.denominator)
+            assert int(re.match(r"line ([0-9]+): ", str(exc))[1]) in linenos, str(exc)
+            return
+        again = trace_to_jsonl(trace)
+        if trace.config.backend is EXACT:
+            assert again == text
+        else:
+            # Floats are read by value, and the writer writes each value's
+            # repr.  NaN != NaN, so the texts are compared, not the traces.
+            assert trace_to_jsonl(trace_from_jsonl(again)) == again
 
     def test_canonical_lines_are_not_read_as_json(self, sample, monkeypatch):
-        trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=12), sample)
+        exact = ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=12)
+        # x^1000 overflows to inf at every midpoint past 2: f_c_n is Infinity.
+        floats = ProblemConfig(a=0.0, b=10.0, epsilon=1 / 3, max_steps=5, backend=FLOAT64)
         seen = []
         parse_line = core._parse_line
 
@@ -698,8 +774,23 @@ class TestStepLineMatch:
             return parse_line(text, what, lineno)
 
         monkeypatch.setattr(core, "_parse_line", recording)
-        assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
-        assert seen == ["the config", "the final line"]
+        for config, f in ((exact, sample), (floats, parse("x^1000 - 1"))):
+            trace = run(config, f)
+            seen.clear()
+            assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+            assert seen == ["the config", "the final line"]
+
+    def test_refusal_reads_values_past_the_digit_limit(self, sample):
+        # The 120-step sample trace has values of 2,113 digits: past a
+        # 640-digit limit, the reader and its refusal convert them through
+        # Decimal.  Each value of step 100 scaled by 10/10 is not in lowest terms.
+        config = ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=120)
+        lines = trace_to_jsonl(run(config, sample)).splitlines()
+        for key in _STEP_KEYS[1:]:
+            edited = re.sub(f'"{key}":"([-0-9]+)/([0-9]+)"', rf'"{key}":"\g<1>0/\g<2>0"', lines[100])
+            with pytest.raises(TraceFormatError) as err:
+                trace_from_jsonl("\n".join(lines[:100] + [edited] + lines[101:]))
+            assert str(err.value) == f"line 101: step line departs from the writer's form at {key!r}"
 
 
 def _sha256(texts):

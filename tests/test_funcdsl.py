@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interpbisect import numerics
-from interpbisect.funcdsl import _compile_exact, _compile_grid
-from interpbisect.verifier import grid_oracle
+from interpbisect.funcdsl import _compile_exact
+from interpbisect.verifier import _compile_grid, grid_oracle
 from interpbisect import (
     Abs,
     Add,

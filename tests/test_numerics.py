@@ -167,7 +167,7 @@ class TestBackends:
             (FLOAT64, 0.3, "0.3"),
             (FLOAT64, -math.inf, "-Infinity"),
         ):
-            to_json, from_json = backend._trace_codec()
+            to_json, from_json, _ = backend._trace_codec()
             assert to_json(value) == text == json.dumps(json.loads(text))
             assert from_json(json.loads(to_json(value))) == value
 
@@ -179,7 +179,7 @@ class TestBackends:
             (FLOAT64, "1/2", "float trace values must be numbers, got '1/2'"),
             (FLOAT64, True, "float trace values must be numbers, got True"),
         ):
-            _, from_json = backend._trace_codec()
+            _, from_json, _ = backend._trace_codec()
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 from_json(value)
 
