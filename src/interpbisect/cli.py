@@ -410,6 +410,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"float range: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError as exc:
-        # The parser, the printer, the evaluators and json's decoder recurse per level.
+        # The parser, the printer and the evaluators recurse per level.
         print(f"input nested too deeply: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,11 +36,11 @@ one config line, one line per step, one final line.  Exact scalars are
 ``num/den`` strings, float scalars are JSON numbers.  Each line is one
 format string over JSON texts: digits need no escaping, so the bytes are
 ``json.dumps``'s.  Writing and reading an exact trace converts each
-distinct denominator between int and text once per call.  Step lines
-have one grammar, the writer's: the reader takes each in one
+distinct denominator between int and text once per call.  Every line
+has one grammar, the writer's: the reader takes each in one
 regular-expression match per backend, exact values in lowest terms and
-float values read by value, and refuses any other step line, naming the
-first field that departs.  The config and final lines are read as JSON.
+float values read by value, and refuses any other line, naming the
+first field that departs.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from math import isfinite
 from typing import Optional, Tuple, Union
 
 from .funcdsl import FunctionExpr, eval_exact, eval_float
-from .numerics import _PLAIN, _aligned, _DenTexts, _read_pair, _read_plain
+from .numerics import _PLAIN, _aligned, _DenTexts, _read_pair
 from .numerics import format_rational, parse_rational, reduced, scalar_text
 from .record import Record, init_field
 
@@ -156,28 +156,26 @@ class ExactBackend:
         """``num/den`` text, the denominator always present."""
         return format_rational(value)
 
-    # A step line's value as the writer writes it, as two groups for _read_pair.
-    _step_value = f'"{_PLAIN}"'
+    # A value as the writer writes it, as two groups for _read_pair.
+    _value = f'"{_PLAIN}"'
 
     def _trace_codec(self):
-        """``(to_json, from_json, read_step)`` for one trace call.
+        """``(to_json, read, read_step)`` for one trace call.
 
         ``to_json`` writes the JSON text of :meth:`format`'s ``num/den``
-        string; ``from_json`` reads a config or final line's decoded
-        string.  ``read_step(match, n)`` is the record of step ``n`` from a
-        match of the step line, or None when a value is not in lowest
-        terms.  Each converts a distinct denominator once per call (see
-        :mod:`interpbisect.numerics`); the two readers share one memo.
+        string.  ``read(match, k)`` is the list of the first ``k`` values of
+        a config or final line's match, and ``read_step(match, n)`` the
+        record of step ``n`` from a match of the step line; each is None
+        when a value is not in lowest terms.  Each converts a distinct
+        denominator once per call (see :mod:`interpbisect.numerics`); the
+        two readers share one memo.
         """
         dens = {}
 
-        def from_json(value: Union[str, int, float]) -> Fraction:
-            if not isinstance(value, str):
-                raise ValueError(
-                    f"exact trace values must be 'num/den' strings, got {value!r}"
-                )
-            q = _read_plain(value, dens)
-            return parse_rational(value) if q is None else q
+        def read(match, k: int) -> Optional[list]:
+            groups = match.groups()
+            values = [_read_pair(groups[i], groups[i + 1], dens) for i in range(0, 2 * k, 2)]
+            return None if None in values else values
 
         def read_step(match, n: int) -> Optional[StepRecord]:
             _, an, ad, bn, bd, cn, cd, fn, fd, dn, dd = match.groups()
@@ -190,7 +188,7 @@ class ExactBackend:
                 return None
             return StepRecord(n, a, b, c, f_c, d)
 
-        return _DenTexts().json, from_json, read_step
+        return _DenTexts().json, read, read_step
 
     def midpoint(self, a: Fraction, b: Fraction) -> Fraction:
         x, y, u, v = _aligned(a.numerator, a.denominator, b.numerator, b.denominator)
@@ -247,22 +245,20 @@ class FloatBackend:
         """Shortest round-trip decimal text."""
         return repr(float(value))
 
-    # A step line's value as the writer writes it: a JSON number with a
-    # fraction part or a signed exponent, as repr writes a finite float,
-    # or json's Infinity, -Infinity and NaN.  It is read by value.
-    _step_value = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)|-?Infinity|NaN)"
+    # A value as the writer writes it: a JSON number with a fraction part
+    # or a signed exponent, as repr writes a finite float, or json's
+    # Infinity, -Infinity and NaN.  It is read by value.
+    _value = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)|-?Infinity|NaN)"
 
     def _trace_codec(self):
-        """``(to_json, from_json, read_step)`` for one trace: floats are JSON numbers, as text.
+        """``(to_json, read, read_step)`` for one trace: floats are JSON numbers, as text.
 
-        As :meth:`ExactBackend._trace_codec`'s, except that ``read_step``
-        reads every match: floats are read by value, never refused.
+        As :meth:`ExactBackend._trace_codec`'s, except that the readers
+        read every match: floats are read by value, never refused.
         """
 
-        def from_json(value: Union[str, int, float]) -> float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"float trace values must be numbers, got {value!r}")
-            return float(value)
+        def read(match, k: int) -> list:
+            return [float(v) for v in match.groups()[:k]]
 
         def read_step(match, n: int) -> StepRecord:
             _, a, b, c, f_c, d = match.groups()
@@ -276,7 +272,7 @@ class FloatBackend:
                 return fmt(value)
             return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
-        return to_json, from_json, read_step
+        return to_json, read, read_step
 
     def midpoint(self, a: float, b: float) -> float:
         return (a + b) / 2
@@ -474,54 +470,63 @@ def trace_to_jsonl(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A step number, capped at 18 digits so that int() cannot raise.
+_INDEX = "([1-9][0-9]{0,17})"
+
+
 @cache
-def _step_grammar(backend):
-    """``(fullmatch, fields)`` of ``backend``'s step lines, compiled on first use.
+def _grammar(backend):
+    """``{kind: (fullmatch, fields)}`` of ``backend``'s config, step and final lines, compiled on first use.
 
-    ``fullmatch`` takes a ``_STEP`` line as the writer writes it; group 1
-    is n, capped at 18 digits so that int() cannot raise.  ``fields`` pairs
-    each key with its field's pattern, separator first, for :func:`_refusal`.
+    Each ``fullmatch`` takes a line as the writer writes it: the backend's
+    name and the mode are literals, and ``,"stop_early":true`` and
+    ``,"stopped_early_at":N`` optional suffixes.  ``fields`` pairs each
+    key with its field's pattern, separator first, for :func:`_refusal`.
     """
-    texts = ["([1-9][0-9]{0,17})"] + [backend._step_value] * 5
-    # The template's text around its fields: '\{"n":', ',"a_n":', ..., '\}'.
-    parts = [re.escape(part) for part in _STEP(*["\0"] * 6).split("\0")]
-    fields = [(p.strip('\\{,":'), re.compile(p + t)) for p, t in zip(parts, texts)]
-    return re.compile("".join(f.pattern for _, f in fields) + parts[-1]).fullmatch, fields
+    value = backend._value
+    head = [re.escape(backend.name), f"({'|'.join(mode.value for mode in WeightMode)})", "([1-9][0-9]*)"]
+    lines = {
+        "config": (_HEAD, [value] * 3 + head + ['(,"stop_early":true)?']),
+        "step": (_STEP, [_INDEX] + [value] * 5),
+        "final": (_TAIL, [value] * 2 + [f'(?:,"stopped_early_at":{_INDEX})?']),
+    }
+    grammars = {}
+    for kind, (template, texts) in lines.items():
+        # The template's text around its fields: '\{"n":', ',"a_n":', ..., '\}'.
+        parts = [re.escape(part) for part in template(*["\0"] * len(texts)).split("\0")]
+        # A key is the first word of its field's text, or of an optional suffix's pattern.
+        fields = [(re.search(r"\w+", p or t)[0], re.compile(p + t)) for p, t in zip(parts, texts)]
+        grammars[kind] = re.compile("".join(f.pattern for _, f in fields) + parts[-1]).fullmatch, fields
+    return grammars
 
 
-def _refusal(line: str, n: int, fields) -> TraceFormatError:
-    """The error for step line ``n``: its first field not in the writer's form, or its index."""
+def _refusal(line: str, lineno: int, kind: str, backends) -> TraceFormatError:
+    """The error for line ``lineno`` of ``kind``: its first field not in the writer's form, or its index.
+
+    The field named is where the grammar of the backend (of ``backends``)
+    that follows the line furthest departs from it.
+    """
     if not line.strip():
-        return TraceFormatError(f"line {n + 1}: blank line")
-    pos = 0
-    for key, field in fields:
-        match = field.match(line, pos)
-        # An exact value matches as two groups.
-        if match is None or match.lastindex == 2 and _read_pair(*match.groups(), {}) is None:
-            return TraceFormatError(f"line {n + 1}: step line departs from the writer's form at {key!r}")
-        if key == "n" and int(match[1]) != n:
-            return TraceFormatError(f"line {n + 1}: step index {match[1]} out of order (expected {n})")
-        pos = match.end()
-    return TraceFormatError(f"line {n + 1}: step line departs from the writer's form after 'd_n'")
-
-
-def _parse_line(text: str, what: str, lineno: int) -> dict:
-    import json
-
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, or a JSON integer past the int <-> text digit limit.
-        raise TraceFormatError(f"line {lineno}: not JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise TraceFormatError(f"line {lineno}: expected a JSON object for {what}")
-    return obj
-
-
-def _take(obj: dict, key: str, lineno: int):
-    if key not in obj:
-        raise TraceFormatError(f"line {lineno}: missing key {key!r}")
-    return obj[key]
+        return TraceFormatError(f"line {lineno}: blank line")
+    furthest = -1, ""
+    for backend in backends:
+        pos, last = 0, None
+        for key, field in _grammar(backend)[kind][1]:
+            match = field.match(line, pos)
+            # An exact value matches as two groups.
+            if match is None or match.lastindex == 2 and _read_pair(*match.groups(), {}) is None:
+                where = f"at {key!r}"
+                break
+            if key == "n" and int(match[1]) != lineno - 1:
+                return TraceFormatError(f"line {lineno}: step index {match[1]} out of order (expected {lineno - 1})")
+            if match.end() > pos:  # an optional suffix may match nothing
+                last = key
+            pos = match.end()
+        else:
+            where = f"after {last!r}"
+        if pos > furthest[0]:
+            furthest = pos, where
+    return TraceFormatError(f"line {lineno}: {kind} line departs from the writer's form {furthest[1]}")
 
 
 def trace_from_jsonl(text: str) -> Trace:
@@ -529,9 +534,9 @@ def trace_from_jsonl(text: str) -> Trace:
 
     Raises:
         TraceFormatError: naming the file line of the first structural
-            problem: bad JSON, missing keys or wrong scalar encodings, a
-            step line not as the writer writes it, a blank line before the
-            final line, or a step count other than ``stopped_early_at``
+            problem: a line not as the writer writes it, a blank line
+            before the final line, a config that :class:`ProblemConfig`
+            refuses, or a step count other than ``stopped_early_at``
             (which needs ``stop_early``) or else ``max_steps``.
     """
     lines = text.split("\n")
@@ -540,48 +545,39 @@ def trace_from_jsonl(text: str) -> Trace:
     if len(lines) < 3:
         raise TraceFormatError(f"line {max(len(lines), 1)}: a trace needs a config line, a step line and a final line")
 
-    head = _parse_line(lines[0], "the config", 1)
-    name = _take(head, "backend", 1)
-    backend = BACKENDS.get(name) if isinstance(name, str) else None
-    if backend is None:
-        raise TraceFormatError(
-            f"line 1: unknown backend {name!r} (expected 'exact' or 'float')"
-        )
-    _, from_json, read_step = backend._trace_codec()
-    # Taken before the handlers below, which would prefix the line again.
-    mode, a, b, epsilon, max_steps = (_take(head, k, 1) for k in ("mode", "a", "b", "epsilon", "max_steps"))
+    # Exact values are quoted and float values are not: at most one backend's config line matches.
+    for backend in BACKENDS.values():
+        grammar = _grammar(backend)
+        match = grammar["config"][0](lines[0])
+        if match:
+            break
+    _, read, read_step = backend._trace_codec()
+    values = match and read(match, 3)
+    if not values:
+        raise _refusal(lines[0], 1, "config", BACKENDS.values())
+    mode, max_steps, stop = match.groups()[-3:]
     try:
-        mode = WeightMode(mode)
+        config = ProblemConfig(*values, int(max_steps), WeightMode(mode), backend, stop is not None)
     except ValueError as exc:
-        raise TraceFormatError(f"line 1: {exc}") from exc
-    try:
-        config = ProblemConfig(
-            a=from_json(a),
-            b=from_json(b),
-            epsilon=from_json(epsilon),
-            max_steps=max_steps,
-            weight_mode=mode,
-            backend=backend,
-            stop_early=head.get("stop_early", False),
-        )
-    except (ValueError, TypeError, OverflowError) as exc:  # Overflow: float(a huge JSON integer)
         raise TraceFormatError(f"line 1: bad config: {exc}") from exc
 
     # Step n is file line n + 1, read in one match.
-    fullmatch, fields = _step_grammar(backend)
+    fullmatch = grammar["step"][0]
     records = []
     for n in range(1, len(lines) - 1):
         match = fullmatch(lines[n])
         rec = match and int(match[1]) == n and read_step(match, n)
         if not rec:
-            raise _refusal(lines[n], n, fields)
+            raise _refusal(lines[n], n + 1, "step", (backend,))
         records.append(rec)
 
     lineno = len(lines)
-    tail = _parse_line(lines[-1], "the final line", lineno)
-    stopped = tail.get("stopped_early_at")
-    if stopped is not None and (not isinstance(stopped, int) or isinstance(stopped, bool)):
-        raise TraceFormatError(f"line {lineno}: stopped_early_at must be an integer")
+    match = grammar["final"][0](lines[-1])
+    values = match and read(match, 2)
+    if not values:
+        raise _refusal(lines[-1], lineno, "final", (backend,))
+    stopped = match.groups()[-1]
+    stopped = None if stopped is None else int(stopped)
     count, most = len(records), config.max_steps
     if stopped is None and count != most:
         raise TraceFormatError(f"line {lineno}: {count} steps, max_steps {most}, no stopped_early_at")
@@ -589,14 +585,4 @@ def trace_from_jsonl(text: str) -> Trace:
         raise TraceFormatError(f"line {lineno}: stopped_early_at without stop_early")
     if stopped is not None and not stopped == count <= most:
         raise TraceFormatError(f"line {lineno}: {count} steps, max_steps {most}, stopped_early_at {stopped}")
-    estimate, bound = (_take(tail, k, lineno) for k in ("limit_estimate", "limit_error_bound"))
-    try:
-        return Trace(
-            config=config,
-            steps=tuple(records),
-            limit_estimate=from_json(estimate),
-            limit_error_bound=from_json(bound),
-            stopped_early_at=stopped,
-        )
-    except (ValueError, OverflowError) as exc:
-        raise TraceFormatError(f"line {lineno}: bad final line: {exc}") from exc
+    return Trace(config, tuple(records), *values, stopped_early_at=stopped)

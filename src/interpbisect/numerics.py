@@ -191,16 +191,6 @@ def _read_pair(num: str, den: str, dens: dict) -> Optional[Fraction]:
 _PLAIN = r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)"
 
 
-def _read_plain(text: str, dens: dict) -> Optional[Fraction]:
-    """The value of the trace format's own ``num/den`` text, in lowest terms.
-
-    None for every other text, which :func:`parse_rational` reads (or
-    refuses) on its general path.  ``dens`` is :func:`_read_pair`'s memo.
-    """
-    match = re.fullmatch(_PLAIN, text)
-    return None if match is None else _read_pair(match[1], match[2], dens)
-
-
 class _DenTexts(dict):
     """Denominator texts for one trace writer: ``str(d)``, converted once."""
 
@@ -227,9 +217,6 @@ def parse_rational(text: str) -> Fraction:
     Decimals convert exactly (``0.25`` -> 1/4), never through binary
     floats.  Integer and ``num/den`` text may have any number of digits.
     """
-    q = _read_plain(text, {})
-    if q is not None:
-        return q
     try:
         try:
             return Fraction(text.strip())

@@ -54,8 +54,10 @@ def render_trace_svg(spec: PlotSpec) -> str:
     the final estimate is an open square at (limit, f(limit)).  Every
     marker carries data-x / data-y attributes in the backend's text
     form, so the numbers can be read back from the file exactly.  A
-    dotted horizontal line marks the tolerance at +epsilon.  Output is
-    deterministic byte for byte.
+    marker whose value is +inf sits on the frame's top edge, one whose
+    value is -inf or NaN on its bottom edge; non-finite values stay out of
+    the derived y range.  A dotted horizontal line marks the tolerance at
+    +epsilon.  Output is deterministic byte for byte.
 
     Raises:
         PlotError: on fewer than 2 or more than MAX_SAMPLES samples, or
@@ -96,6 +98,7 @@ def render_trace_svg(spec: PlotSpec) -> str:
         candidates = [y for _, y in curve if y is not None]
         candidates += [float(v) for _, _, v in dots]
         candidates += [float(f_limit), float(epsilon), 0.0]
+        candidates = [y for y in candidates if math.isfinite(y)]
         lo, hi = min(candidates), max(candidates)
         pad = 0.08 * (hi - lo) if hi > lo else 1.0
         y_lo, y_hi = lo - pad, hi + pad
@@ -111,6 +114,8 @@ def render_trace_svg(spec: PlotSpec) -> str:
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
+        if not math.isfinite(y):  # a marker's value: +inf on the top edge, -inf and NaN on the bottom
+            return top if y > 0 else top + plot_h
         return top + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts: List[str] = []

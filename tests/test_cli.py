@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -526,12 +527,12 @@ class TestVerify:
         assert err == f"trace: line 2: step line departs from the writer's form at {field!r}\n"
 
     def test_deeply_nested_trace_line_is_usage_error(self, tmp_path, capsys):
-        # json's decoder recurses once per nested array.
+        # The reader matches each line against the writer's grammar, which does not recurse.
         bad = tmp_path / "deep.jsonl"
         bad.write_text(("[" * 100_000 + "]" * 100_000 + "\n") * 3)
         code, _, err = run_cli(["verify", "-t", bad, "-f", "x"], capsys)
         assert code == EXIT_USAGE
-        assert err.startswith("input nested too deeply: ") and err.count("\n") == 1
+        assert err == "trace: line 1: config line departs from the writer's form at 'a'\n"
 
     @pytest.mark.parametrize("name", ["double", ["exact"], None, 1])
     def test_unknown_backend_is_usage_error(self, trace_path, capsys, name):
@@ -541,7 +542,8 @@ class TestVerify:
         trace_path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
         code, _, err = run_cli(["verify", "-t", trace_path, "-f", SAMPLE_TEXT], capsys)
         assert code == EXIT_USAGE
-        assert "trace: line 1: unknown backend " in err
+        # json.dumps's spaced separators depart from the writer's form at the first field.
+        assert err == "trace: line 1: config line departs from the writer's form at 'a'\n"
 
     @pytest.mark.parametrize("key,value", [("max_steps", 2.5), ("max_steps", True), ("stop_early", "no")])
     def test_mistyped_head_flag_is_usage_error(self, trace_path, capsys, key, value):
@@ -551,7 +553,7 @@ class TestVerify:
         trace_path.write_text("\n".join([json.dumps(head)] + lines[1:]) + "\n")
         code, _, err = run_cli(["verify", "-t", trace_path, "-f", SAMPLE_TEXT], capsys)
         assert code == EXIT_USAGE
-        assert f"trace: line 1: bad config: {key} must be " in err
+        assert err == "trace: line 1: config line departs from the writer's form at 'a'\n"
 
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, _ = run_cli(["verify", "-t", tmp_path / "nope.jsonl", "-f", "x"], capsys)
@@ -699,6 +701,22 @@ class TestPlot:
         assert "<path" in svg_path.read_text()
 
 
+    @pytest.mark.parametrize("y_range", [[], ["--y-min=-2", "--y-max=2"]], ids=["auto", "explicit"])
+    def test_non_finite_values_plot_on_the_frame(self, tmp_path, capsys, y_range):
+        # x^1000 overflows to inf at the first two midpoints of the float run.
+        trace, svg_path = tmp_path / "t.jsonl", tmp_path / "p.svg"
+        argv = ["run", "-f", "x^1000 - 1", "--a=0", "--b=10", "-e", "1/3", "--max-steps", "5", "--backend", "float"]
+        assert run_cli([*argv, "--out", trace], capsys)[0] == EXIT_OK
+        code, _, err = run_cli(["plot", "-t", trace, "-f", "x^1000 - 1", "--out", svg_path, *y_range], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        svg = svg_path.read_text()
+        coordinates = re.findall(r' (?:cx|cy|x|y)="([^"]*)"', svg)
+        assert coordinates and all(math.isfinite(float(v)) for v in coordinates)
+        # +inf sits on the frame's top edge (y = 28); data-y keeps the recorded text.
+        assert svg.count('cy="28.000" r="3.0" fill="#1a1a1a" data-step=') == 2
+        assert svg.count('data-y="inf"') == 2
+
+
 class TestBeyondFloatRange:
     """Values past the largest float: exact summaries print inf, float inputs are usage errors."""
 
@@ -814,17 +832,38 @@ print(repr((loaded, grid, sorted(set(star) - {"__builtins__"}), sorted(interpbis
 """
 
 
+# Run by a fresh interpreter: an exact and a float trace, each read back
+# by trace_from_jsonl, and whether json is loaded after that.
+_READER_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from interpbisect import FLOAT64, ProblemConfig, parse, run, trace_from_jsonl, trace_to_jsonl
+exact = ProblemConfig(Fraction(-1), Fraction(1), Fraction(1, 3), max_steps=12, stop_early=True)
+# x^1000 overflows to inf at every midpoint past 2: f_c_n is Infinity.
+floats = ProblemConfig(0.0, 10.0, 1 / 3, max_steps=5, backend=FLOAT64)
+for config, f in ((exact, "min((1+6x^2)/7, 8+9x)"), (floats, "x^1000 - 1")):
+    trace = run(config, parse(f))
+    assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+print(repr(sorted(name for name in ("json", "json.decoder") if name in sys.modules)))
+"""
+
+
+def _probe(script):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(src)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
 class TestImport:
     def test_the_cli_import_loads_only_what_every_command_needs(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, str(src)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded, grid, star, public, lazy = ast.literal_eval(proc.stdout)
+        loaded, grid, star, public, lazy = _probe(_IMPORT_PROBE)
         unwanted = ["dataclasses", "inspect", "json", "interpbisect.verifier", "interpbisect.svg"]
         assert [name for name in unwanted if name in loaded] == []
         # The grid builder lives beside grid_oracle, its one caller.
@@ -836,6 +875,10 @@ class TestImport:
             "interpbisect.svg.render_trace_svg",
             "interpbisect.svg.PlotError",
         ]
+
+    def test_the_trace_reader_loads_no_json(self):
+        # Every trace line is read in the writer's grammar, not as JSON.
+        assert _probe(_READER_PROBE) == []
 
 
 class TestProcessLevel:

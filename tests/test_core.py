@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interpbisect
-from interpbisect import core, numerics
+from interpbisect import numerics
 from interpbisect import (
     EXACT,
     FLOAT64,
@@ -415,10 +415,10 @@ class TestTraceJsonl:
         assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
 
     def test_each_denominator_text_is_converted_once(self, sample, monkeypatch):
-        # The step lines' match path and the JSON path share one memo, so
-        # a read converts every value's numerator text and each distinct
-        # denominator text once: the last window's denominator, which the
-        # limit estimate shares with the last c_n, no second time.
+        # The step lines' reader and the config and final lines' share one
+        # memo, so a read converts every value's numerator text and each
+        # distinct denominator text once: the last window's denominator,
+        # which the limit estimate shares with the last c_n, no second time.
         trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=40), sample)
         text = trace_to_jsonl(trace)
         values = re.findall(r'"(-?[0-9]+)/([0-9]+)"', text)
@@ -493,15 +493,19 @@ class TestTraceJsonl:
 
     @pytest.mark.parametrize("name", ["double", ["exact"], None, 1])
     def test_unknown_backend_is_refused(self, sample, name):
+        # json.dumps's spaced separators depart at the first field; the
+        # writer's own reach the backend's name.
         trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=2), sample)
         lines = trace_to_jsonl(trace).splitlines()
         head = json.loads(lines[0])
         head["backend"] = name
-        with pytest.raises(TraceFormatError, match=r"^line 1: unknown backend "):
-            trace_from_jsonl("\n".join([json.dumps(head)] + lines[1:]))
+        for separators, key in (((", ", ": "), "a"), ((",", ":"), "backend")):
+            with pytest.raises(TraceFormatError) as err:
+                trace_from_jsonl("\n".join([json.dumps(head, separators=separators)] + lines[1:]))
+            assert str(err.value) == f"line 1: config line departs from the writer's form at {key!r}"
 
     @pytest.mark.parametrize(
-        "key,value,message",
+        "key,value,why",
         [
             ("max_steps", 2.5, "max_steps must be an int, got float"),
             ("max_steps", True, "max_steps must be an int, got bool"),
@@ -509,14 +513,21 @@ class TestTraceJsonl:
             ("stop_early", 1, "stop_early must be a bool, got int"),
         ],
     )
-    def test_head_flags_keep_their_types(self, sample, key, value, message):
+    def test_head_flags_keep_their_types(self, sample, key, value, why):
+        # The writer writes max_steps as digits and stop_early only as true.
+        # json.dumps's spaced separators depart at the first field; with the
+        # writer's own, the line departs where the flag's value starts: a
+        # digit prefix of 2.5 still reads as max_steps, and stop_early is
+        # an optional suffix after it.
         trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=2), sample)
         lines = trace_to_jsonl(trace).splitlines()
         head = json.loads(lines[0])
         head[key] = value
-        with pytest.raises(TraceFormatError) as err:
-            trace_from_jsonl("\n".join([json.dumps(head)] + lines[1:]))
-        assert str(err.value) == f"line 1: bad config: {message}"
+        where = "at 'max_steps'" if value is True else "after 'max_steps'"
+        for separators, departs in (((", ", ": "), "at 'a'"), ((",", ":"), where)):
+            with pytest.raises(TraceFormatError) as err:
+                trace_from_jsonl("\n".join([json.dumps(head, separators=separators)] + lines[1:]))
+            assert str(err.value) == f"line 1: config line departs from the writer's form {departs}", why
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -538,8 +549,8 @@ class TestTraceJsonl:
     def test_step_text_reads_as_parse_rational_does(self, text, expected):
         # Each text in f_c_n of both steps.  A step line takes only the
         # writer's num/den in lowest terms, so each is refused at the first
-        # one.  parse_rational, which reads the config and final lines'
-        # values, still reads a text as ``expected``, or refuses it (None).
+        # one.  parse_rational, which reads the CLI's rational flags, still
+        # reads a text as ``expected``, or refuses it (None).
         trace = run(ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 3), max_steps=2), parse("x"))
         lines = trace_to_jsonl(trace).splitlines()
         for i in (1, 2):
@@ -564,15 +575,20 @@ class TestTraceJsonl:
         lines[line] = lines[line].replace(key, '"other"')
         with pytest.raises(TraceFormatError) as err:
             trace_from_jsonl("\n".join(lines))
-        assert str(err.value) == f"line {1 if line == 0 else 4}: missing key {key[1:-1]!r}"
+        where = "line 1: config" if line == 0 else "line 4: final"
+        assert str(err.value) == f"{where} line departs from the writer's form at {key[1:-1]!r}"
 
     @pytest.mark.parametrize("line,key", [(0, '"a":-1.0'), (-1, '"limit_error_bound":1.0')])
     def test_float_integer_past_the_float_range_names_its_line(self, line, key):
+        # The writer writes a float with a fraction part or an exponent, never as an integer.
         trace = run(ProblemConfig(a=-1.0, b=1.0, epsilon=1 / 3, max_steps=2, backend=FLOAT64), parse("x"))
         lines = trace_to_jsonl(trace).splitlines()
         lines[line] = lines[line].replace(key, key[:-2] + "0" * 400)
-        with pytest.raises(TraceFormatError, match=f"^line {len(lines) if line else 1}: bad "):
+        with pytest.raises(TraceFormatError) as err:
             trace_from_jsonl("\n".join(lines))
+        where = "line 1: config" if line == 0 else "line 4: final"
+        name = key.split('"')[1]
+        assert str(err.value) == f"{where} line departs from the writer's form at {name!r}"
 
     def test_lines_are_numbered_as_in_the_file(self, sample):
         trace = run(ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=4), sample)
@@ -586,7 +602,7 @@ class TestTraceJsonl:
         for blank in ("", " "):
             with pytest.raises(TraceFormatError, match=r"^line 3: blank line$"):
                 trace_from_jsonl("\n".join(lines[:2] + [blank] + lines[2:]))
-        with pytest.raises(TraceFormatError, match=r"^line 1: not JSON"):
+        with pytest.raises(TraceFormatError, match=r"^line 1: blank line$"):
             trace_from_jsonl("\n" + text)
         # The final newline may be missing, or followed by blank lines.
         for end in ("", "\n", "\n\n \n"):
@@ -662,16 +678,18 @@ def _written_traces(draw):
 
 @st.composite
 def _one_character_replaced(draw):
-    """A written trace with one character of a step line replaced, and that line's number.
+    """A written trace with one character replaced, and the numbers of the lines that may refuse it.
 
-    The config and final lines are read as JSON, and their exact values as
-    parse_rational reads them, so a replacement there may read as another text.
+    That is the replaced character's line; for the config line, also the
+    final line of the new text, which checks the step count against
+    max_steps and stop_early.
     """
     text = draw(_written_traces())
-    start, end = text.index("\n") + 1, text.rindex("\n", 0, -1) + 1
-    i = draw(st.integers(start, end - 1))
+    i = draw(st.integers(0, len(text) - 1))
     char = draw(st.sampled_from('0123456789-+/.eE "{}:,_nI\n\r\u0663\u2028') | st.characters())
-    return text[:i] + char + text[i + 1:], [text.count("\n", 0, i) + 1]
+    lineno = text.count("\n", 0, i) + 1
+    text = text[:i] + char + text[i + 1:]
+    return text, [lineno, text.count("\n")] if lineno == 1 else [lineno]
 
 
 @st.composite
@@ -743,7 +761,7 @@ def _faulty_step_lines(draw):
 
 
 class TestStepGrammar:
-    """Step lines have one grammar, the writer's."""
+    """Every trace line, config, step and final, has one grammar: the writer's."""
 
     @settings(max_examples=400, deadline=None)
     @given(_one_character_replaced() | _faulty_step_lines())
@@ -762,35 +780,20 @@ class TestStepGrammar:
             # repr.  NaN != NaN, so the texts are compared, not the traces.
             assert trace_to_jsonl(trace_from_jsonl(again)) == again
 
-    def test_canonical_lines_are_not_read_as_json(self, sample, monkeypatch):
-        exact = ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=12)
-        # x^1000 overflows to inf at every midpoint past 2: f_c_n is Infinity.
-        floats = ProblemConfig(a=0.0, b=10.0, epsilon=1 / 3, max_steps=5, backend=FLOAT64)
-        seen = []
-        parse_line = core._parse_line
-
-        def recording(text, what, lineno):
-            seen.append(what)
-            return parse_line(text, what, lineno)
-
-        monkeypatch.setattr(core, "_parse_line", recording)
-        for config, f in ((exact, sample), (floats, parse("x^1000 - 1"))):
-            trace = run(config, f)
-            seen.clear()
-            assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
-            assert seen == ["the config", "the final line"]
-
     def test_refusal_reads_values_past_the_digit_limit(self, sample):
         # The 120-step sample trace has values of 2,113 digits: past a
         # 640-digit limit, the reader and its refusal convert them through
-        # Decimal.  Each value of step 100 scaled by 10/10 is not in lowest terms.
+        # Decimal.  Each value of step 100, and the limit estimate on the
+        # final line, scaled by 10/10 is not in lowest terms.
         config = ProblemConfig(a=SAMPLE_A, b=SAMPLE_B, epsilon=F(1, 3), max_steps=120)
         lines = trace_to_jsonl(run(config, sample)).splitlines()
-        for key in _STEP_KEYS[1:]:
-            edited = re.sub(f'"{key}":"([-0-9]+)/([0-9]+)"', rf'"{key}":"\g<1>0/\g<2>0"', lines[100])
+        cases = [(100, key, "step") for key in _STEP_KEYS[1:]] + [(121, "limit_estimate", "final")]
+        for i, key, kind in cases:
+            edited = re.sub(f'"{key}":"([-0-9]+)/([0-9]+)"', rf'"{key}":"\g<1>0/\g<2>0"', lines[i])
+            assert len(edited) - len(lines[i]) == 2
             with pytest.raises(TraceFormatError) as err:
-                trace_from_jsonl("\n".join(lines[:100] + [edited] + lines[101:]))
-            assert str(err.value) == f"line 101: step line departs from the writer's form at {key!r}"
+                trace_from_jsonl("\n".join(lines[:i] + [edited] + lines[i + 1:]))
+            assert str(err.value) == f"line {i + 1}: {kind} line departs from the writer's form at {key!r}"
 
 
 def _sha256(texts):
