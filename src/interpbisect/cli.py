@@ -33,7 +33,7 @@ from .core import (
     trace_to_jsonl,
 )
 from .funcdsl import EvalError, ParseError, parse, to_text
-from .numerics import parse_rational
+from .numerics import _to_float, parse_rational
 
 __all__ = [
     "EXIT_OK",
@@ -206,10 +206,7 @@ def _first_witness(trace: Trace) -> Optional[StepRecord]:
 
 def _approx(value) -> str:
     """``value`` to 9 decimals, or ``inf``/``-inf`` outside the float range."""
-    try:
-        return f"{float(value):.9f}"
-    except OverflowError:
-        return "inf" if value > 0 else "-inf"
+    return f"{_to_float(value):.9f}"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -379,6 +376,22 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+# What main prints to stderr and returns for a failure: the first entry
+# whose exception type matches.
+_FAILURES = (
+    (ParseError, "function syntax", EXIT_USAGE),
+    (SignPreconditionViolated, "run refused", EXIT_SIGN),
+    ((TraceFormatError, BackendNotExact), "trace", EXIT_USAGE),
+    (EvalError, "evaluation", EXIT_USAGE),
+    (OSError, "io", EXIT_USAGE),
+    (ValueError, "error", EXIT_USAGE),
+    # A float-backend input or constant, or a plot range, past the largest float.
+    (OverflowError, "float range", EXIT_USAGE),
+    # The parser, the printer and the evaluators recurse per level.
+    (RecursionError, "input nested too deeply", EXIT_USAGE),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -387,29 +400,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"function syntax: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SignPreconditionViolated as exc:
-        print(f"run refused: {exc}", file=sys.stderr)
-        return EXIT_SIGN
-    except (TraceFormatError, BackendNotExact) as exc:
-        print(f"trace: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EvalError as exc:
-        print(f"evaluation: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"io: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OverflowError as exc:
-        # A float-backend input or constant, or a plot range, past the largest float.
-        print(f"float range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError as exc:
-        # The parser, the printer and the evaluators recurse per level.
-        print(f"input nested too deeply: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for kind, prefix, code in _FAILURES:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import partial
 from typing import List, Tuple, Union
 
-from .numerics import _aligned, reduced, scalar_text
+from .numerics import _aligned, _text_int, reduced, scalar_text
 from .record import Record, init_field
 
 __all__ = [
@@ -559,14 +559,14 @@ class _Parser:
             # Ratio literal: INT '/' INT with positive denominator, not
             # followed by '^' (so '3/4^2' keeps conventional precedence).
             if allow_ratio and tokens[i][0] == "/" and tokens[i + 1][0] == "int":
-                den = int(tokens[i + 1][1])
+                den = _text_int(tokens[i + 1][1])
                 if den > 0 and tokens[i + 2][0] != "^":
                     self.index = i + 2
-                    return RationalConst(Fraction(int(text), den))
-            return RationalConst(Fraction(int(text)))
+                    return RationalConst(Fraction(_text_int(text), den))
+            return RationalConst(Fraction(_text_int(text)))
         if kind == "decimal":
-            # Fraction parses decimal text exactly: '0.1' -> 1/10.
-            return RationalConst(Fraction(text))
+            whole, _, digits = text.partition(".")
+            return RationalConst(Fraction(_text_int(whole + digits), 10 ** len(digits)))
         if text == "x":
             return Var()
         # What is left: '(' expr ')', min/max '(' expr ',' expr ')', abs '(' expr ')'.
@@ -636,8 +636,7 @@ def _render(expr: FunctionExpr) -> str:
     if isinstance(expr, Var):
         return "x"
     if isinstance(expr, RationalConst):
-        q = expr.value
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return scalar_text(expr.value)
     if isinstance(expr, Neg):
         return "-" + _fmt(expr.operand, _LEVEL_POW)
     if isinstance(expr, Add):

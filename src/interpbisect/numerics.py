@@ -24,6 +24,12 @@ Every reduced value is built by :data:`_coprime`, which fills a new
 Fraction's two slots: the pair is already in lowest terms, so it does
 not pay for ``Fraction``'s constructor, which would take a gcd again.
 
+Two conversion rules live here only.  :func:`_int_text` and
+:func:`_text_int` convert an int to and from text of any length, through
+Decimal past CPython's 4,300-digit limit (``sys.get_int_max_str_digits``).
+:func:`_to_float` gives +inf or -inf where ``float()`` raises
+OverflowError past the largest float.
+
 Text forms are fixed because they appear verbatim in the JSONL trace
 format: rationals render as ``num/den`` (always with the denominator,
 e.g. ``-13/14``, ``0/1``).  A trace repeats its large denominators:
@@ -45,7 +51,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Optional, Union
 
 __all__ = [
@@ -139,32 +145,41 @@ def _aligned(an: int, ad: int, bn: int, bd: int):
     return an * q, (bn * (ad >> i)) << (i - j), ad, q
 
 
-def format_rational(q: Fraction) -> str:
-    """Render ``q`` as ``num/den``, denominator always present."""
+def _int_text(i: int) -> str:
+    """``str(i)``, for an int of any length."""
     try:
-        return f"{q.numerator}/{q.denominator}"
+        return str(i)
     except ValueError:
-        # str(int) refuses more than sys.get_int_max_str_digits() digits
-        # (4300 by default); Decimal converts exactly with no such limit.
-        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+        return str(Decimal(i))
 
 
-def scalar_text(value: Union[Fraction, float]) -> str:
-    """``str(value)``, or ``format_rational(value)`` past the digit limit."""
-    try:
-        return str(value)
-    except ValueError:
-        return format_rational(value)
-
-
-def _digits_int(text: str) -> int:
-    """``int(text)`` for text that matches ``-?[0-9]+``, of any length."""
+def _text_int(text: str) -> int:
+    """``int(text)`` for text that matches ``[-+]?[0-9]+``, of any length."""
     try:
         return int(text)
     except ValueError:
-        # Past the digit limit (see format_rational): Decimal reads digit
-        # text of any length.
         return int(Decimal(text))
+
+
+def _to_float(value) -> float:
+    """``float(value)``, or +inf or -inf for a value past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
+
+
+def format_rational(q: Fraction) -> str:
+    """Render ``q`` as ``num/den``, denominator always present."""
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
+def scalar_text(value: Union[Fraction, float]) -> str:
+    """``str(value)``, for a value of any length."""
+    try:
+        return str(value)
+    except ValueError:
+        return _int_text(value.numerator) if value.denominator == 1 else format_rational(value)
 
 
 def _read_pair(num: str, den: str, dens: dict) -> Optional[Fraction]:
@@ -176,11 +191,11 @@ def _read_pair(num: str, den: str, dens: dict) -> Optional[Fraction]:
     """
     shape = dens.get(den)
     if shape is None:
-        d = _digits_int(den)
+        d = _text_int(den)
         k = (d & -d).bit_length() - 1
         shape = dens[den] = d, k, d >> k
     d, k, p = shape
-    n = _digits_int(num)
+    n = _text_int(num)
     if (n & 1 or not k) and (p == 1 or gcd(n, p) == 1):
         return _coprime(n, d)
     return None
@@ -195,12 +210,7 @@ class _DenTexts(dict):
     """Denominator texts for one trace writer: ``str(d)``, converted once."""
 
     def __missing__(self, d: int) -> str:
-        try:
-            text = str(d)
-        except ValueError:
-            # Past the digit limit; see format_rational.
-            text = str(Decimal(d))
-        self[d] = text
+        text = self[d] = _int_text(d)
         return text
 
     def json(self, q: Fraction) -> str:
@@ -208,24 +218,24 @@ class _DenTexts(dict):
         try:
             return f'"{q.numerator}/{self[q.denominator]}"'
         except ValueError:
-            return f'"{Decimal(q.numerator)}/{self[q.denominator]}"'
+            return f'"{format_rational(q)}"'
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``num/den``, integer, or decimal text into an exact rational.
 
     Decimals convert exactly (``0.25`` -> 1/4), never through binary
-    floats.  Integer and ``num/den`` text may have any number of digits.
+    floats.  Integer, ratio and decimal text may have any number of digits.
     """
     try:
         try:
             return Fraction(text.strip())
         except ValueError:
-            # Past the int-to-text digit limit (see format_rational), read
-            # the integers through Decimal.
-            match = re.fullmatch(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", text)
+            # Past the digit limit: the parser's number forms, with a sign.
+            match = re.fullmatch(r"\s*([-+]?(?=\.?[0-9])[0-9]*)(?:\.([0-9]+)|/([0-9]+))?\s*", text)
             if match is None:
                 raise
-            return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
+            whole, decimals, den = match.groups("")
+            return Fraction(_text_int(whole + decimals), _text_int(den or "1") * 10 ** len(decimals))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

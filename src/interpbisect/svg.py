@@ -7,6 +7,7 @@ from typing import List, Optional, Tuple
 
 from .core import Trace
 from .funcdsl import EvalError, FunctionExpr, eval_float, to_text
+from .numerics import _to_float
 from .record import Record
 
 __all__ = ["MAX_SAMPLES", "PlotError", "PlotSpec", "render_trace_svg"]
@@ -54,10 +55,11 @@ def render_trace_svg(spec: PlotSpec) -> str:
     the final estimate is an open square at (limit, f(limit)).  Every
     marker carries data-x / data-y attributes in the backend's text
     form, so the numbers can be read back from the file exactly.  A
-    marker whose value is +inf sits on the frame's top edge, one whose
-    value is -inf or NaN on its bottom edge; non-finite values stay out of
-    the derived y range.  A dotted horizontal line marks the tolerance at
-    +epsilon.  Output is deterministic byte for byte.
+    marker whose value or pixel coordinate passes the float range sits on
+    the frame: at +inf on its right or top edge, at -inf or NaN on its
+    left or bottom edge.  Non-finite values stay out of the derived y range.
+    A dotted horizontal line marks the tolerance at +epsilon.  Output is
+    deterministic byte for byte.
 
     Raises:
         PlotError: on fewer than 2 or more than MAX_SAMPLES samples, or
@@ -74,30 +76,28 @@ def render_trace_svg(spec: PlotSpec) -> str:
     if spec.x_range is not None:
         x_lo, x_hi = (float(spec.x_range[0]), float(spec.x_range[1]))
     else:
-        x_lo, x_hi = float(trace.config.a), float(trace.config.b)
+        x_lo, x_hi = _to_float(trace.config.a), _to_float(trace.config.b)
     if not (math.isfinite(x_lo) and math.isfinite(x_hi)) or x_lo >= x_hi:
         raise PlotError(f"degenerate x range [{x_lo}, {x_hi}]")
 
     xs = [x_lo + i * (x_hi - x_lo) / (spec.samples - 1) for i in range(spec.samples)]
-    curve: List[Tuple[float, Optional[float]]] = []
+    ys: List[float] = []
     for x in xs:
         try:
-            y = eval_float(f, x)
+            ys.append(eval_float(f, x))
         except EvalError:
-            y = None
-        curve.append((x, y if y is not None and math.isfinite(y) else None))
+            ys.append(math.nan)
 
-    dots = [(rec.n, rec.c_n, rec.f_c_n) for rec in trace.steps]
+    dots = [(rec, _to_float(rec.c_n), _to_float(rec.f_c_n)) for rec in trace.steps]
     limit = trace.limit_estimate
     f_limit = backend.evaluate(f, limit)
-    epsilon = trace.config.epsilon
+    limit_x, limit_y = _to_float(limit), _to_float(f_limit)
+    eps_f = _to_float(trace.config.epsilon)
 
     if spec.y_range is not None:
         y_lo, y_hi = (float(spec.y_range[0]), float(spec.y_range[1]))
     else:
-        candidates = [y for _, y in curve if y is not None]
-        candidates += [float(v) for _, _, v in dots]
-        candidates += [float(f_limit), float(epsilon), 0.0]
+        candidates = ys + [y for _, _, y in dots] + [limit_y, eps_f, 0.0]
         candidates = [y for y in candidates if math.isfinite(y)]
         lo, hi = min(candidates), max(candidates)
         pad = 0.08 * (hi - lo) if hi > lo else 1.0
@@ -111,12 +111,12 @@ def render_trace_svg(spec: PlotSpec) -> str:
     plot_h = height - top - bottom
 
     def px(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
+        p = left + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return p if math.isfinite(p) else left + plot_w if x > 0 else left
 
     def py(y: float) -> float:
-        if not math.isfinite(y):  # a marker's value: +inf on the top edge, -inf and NaN on the bottom
-            return top if y > 0 else top + plot_h
-        return top + (y_hi - y) / (y_hi - y_lo) * plot_h
+        p = top + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return p if math.isfinite(p) else top if y > 0 else top + plot_h
 
     parts: List[str] = []
     parts.append(
@@ -171,7 +171,6 @@ def render_trace_svg(spec: PlotSpec) -> str:
                     f'text-anchor="end" fill="#555555">{int(yv)}</text>'
                 )
 
-    eps_f = float(epsilon)
     if y_lo < eps_f < y_hi:
         ye = py(eps_f)
         parts.append(
@@ -181,41 +180,37 @@ def render_trace_svg(spec: PlotSpec) -> str:
         parts.append(
             f'<text x="{left + plot_w - 6}" y="{_px(ye - 5)}" font-size="11" '
             'text-anchor="end" fill="#666666">'
-            f"ε = {_escape(backend.format(epsilon))}</text>"
+            f"ε = {_escape(backend.format(trace.config.epsilon))}</text>"
         )
 
-    segments: List[List[str]] = []
-    current: List[str] = []
-    for x, y in curve:
-        if y is None:
-            if current:
-                segments.append(current)
-                current = []
-            continue
-        cmd = "L" if current else "M"
-        current.append(f"{cmd}{_px(px(x))},{_px(py(y))}")
-    if current:
-        segments.append(current)
-    if segments:
-        path = " ".join(" ".join(seg) for seg in segments)
+    # The curve breaks at each pole or non-finite sample and restarts with M.
+    commands: List[str] = []
+    cmd = "M"
+    for x, y in zip(xs, ys):
+        if math.isfinite(y):
+            commands.append(f"{cmd}{_px(px(x))},{_px(py(y))}")
+            cmd = "L"
+        else:
+            cmd = "M"
+    if commands:
         parts.append(
-            f'<path d="{path}" fill="none" stroke="#153a6b" '
+            f'<path d="{" ".join(commands)}" fill="none" stroke="#153a6b" '
             'stroke-width="1.5" clip-path="url(#plot-area)"/>'
         )
 
-    for n, c_n, f_c_n in dots:
+    for rec, x, y in dots:
         parts.append(
-            f'<circle class="midpoint-dot" cx="{_px(px(float(c_n)))}" '
-            f'cy="{_px(py(float(f_c_n)))}" r="3.0" '
-            f'fill="#1a1a1a" data-step="{n}" '
-            f'data-x="{_escape(backend.format(c_n))}" '
-            f'data-y="{_escape(backend.format(f_c_n))}"/>'
+            f'<circle class="midpoint-dot" cx="{_px(px(x))}" '
+            f'cy="{_px(py(y))}" r="3.0" '
+            f'fill="#1a1a1a" data-step="{rec.n}" '
+            f'data-x="{_escape(backend.format(rec.c_n))}" '
+            f'data-y="{_escape(backend.format(rec.f_c_n))}"/>'
         )
 
     half = 4.5
     parts.append(
-        f'<rect class="limit-marker" x="{_px(px(float(limit)) - half)}" '
-        f'y="{_px(py(float(f_limit)) - half)}" width="{2 * half}" height="{2 * half}" '
+        f'<rect class="limit-marker" x="{_px(px(limit_x) - half)}" '
+        f'y="{_px(py(limit_y) - half)}" width="{2 * half}" height="{2 * half}" '
         'fill="none" stroke="#8a1f1f" stroke-width="1.5" '
         f'data-x="{_escape(backend.format(limit))}" '
         f'data-y="{_escape(backend.format(f_limit))}"/>'

@@ -138,6 +138,25 @@ class TestRun:
         code, _, _ = run_cli(["run", "-f", "x", "--a", "abc", "--b", "1", "-e", "1/3"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.digit_limit
+    @pytest.mark.parametrize(
+        "function,a,b",
+        [
+            ("x - 1" + "0" * 5000, "0", "1" + "0" * 5001),
+            ("x - 1" + "0" * 5000 + "/3", "0", "1" + "0" * 5001),
+            ("x - 0." + "1" * 5001, "-0." + "1" * 5001, "1"),
+        ],
+        ids=["integer", "ratio", "decimal"],
+    )
+    def test_literals_of_any_length(self, function, a, b, tmp_path, capsys):
+        code, stdout, err = run_cli(
+            ["run", "-f", function, "--a", a, "--b", b, "-e", "1/3", "--max-steps", "3",
+             "--out", tmp_path / "t.jsonl"],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert stdout.startswith("function: x-") and "\nwrote 3 steps to " in stdout
+
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(["run", "-f", "x", "--a", "-1", "--b", "1"], capsys)
         assert code == EXIT_USAGE
@@ -236,6 +255,7 @@ class TestRun:
         assert main(["--version"]) == EXIT_OK
 
 
+@pytest.mark.digit_limit
 class TestPinnedRunSummary:
     """``run``'s stdout, byte for byte, as recorded before the witness lines
     were read off the run's own records instead of a second evaluation."""
@@ -715,6 +735,39 @@ class TestPlot:
         # +inf sits on the frame's top edge (y = 28); data-y keeps the recorded text.
         assert svg.count('cy="28.000" r="3.0" fill="#1a1a1a" data-step=') == 2
         assert svg.count('data-y="inf"') == 2
+
+    @pytest.mark.parametrize(
+        "function,b,backend",
+        [("x - 10^400", 2 * 10**400, "exact"), ("x - 10^308", 17 * 10**307, "float")],
+        ids=["exact-values", "float-coordinates"],
+    )
+    def test_values_past_the_float_range_plot_on_the_frame(self, function, b, backend, tmp_path, capsys):
+        # Exact: both midpoints and the limit are 10^400, past the largest float.
+        # Float: c_1 = 8.5e307 is finite, but its pixel coordinate is not.
+        trace, svg_path = tmp_path / "t.jsonl", tmp_path / "p.svg"
+        argv = ["-f", function, "--a", "0", "--b", str(b), "-e", "1", "--max-steps", "2", "--backend", backend]
+        assert run_cli(["run", *argv, "--out", trace], capsys)[0] == EXIT_OK
+        code, _, err = run_cli(
+            ["plot", "-t", trace, "-f", function, "--out", svg_path,
+             "--x-min", "0", "--x-max", "1", "--y-min=-1", "--y-max", "1"],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        svg = svg_path.read_text()
+        coordinates = re.findall(r' (?:cx|cy|x|y)="([^"]*)"', svg)
+        assert coordinates and all(math.isfinite(float(v)) for v in coordinates)
+        # Both dots on the frame's right edge (x = 690); data-x keeps the recorded text.
+        assert svg.count('cx="690.000"') == 2
+        if backend == "exact":
+            assert 'class="limit-marker" x="685.500"' in svg
+            assert svg.count(f'data-x="{10**400}/1"') == 3
+
+    def test_x_range_past_the_float_range_is_refused(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        argv = ["-f", "x - 10^400", "--a", "0", "--b", str(2 * 10**400), "-e", "1", "--max-steps", "2"]
+        assert run_cli(["run", *argv, "--out", trace], capsys)[0] == EXIT_OK
+        code, _, err = run_cli(["plot", "-t", trace, "-f", "x - 10^400", "--out", tmp_path / "p.svg"], capsys)
+        assert (code, err) == (EXIT_USAGE, "error: degenerate x range [0.0, inf]\n")
 
 
 class TestBeyondFloatRange:

@@ -423,8 +423,8 @@ class TestTraceJsonl:
         text = trace_to_jsonl(trace)
         values = re.findall(r'"(-?[0-9]+)/([0-9]+)"', text)
         converted = []
-        digits_int = numerics._digits_int
-        monkeypatch.setattr(numerics, "_digits_int", lambda t: converted.append(t) or digits_int(t))
+        text_int = numerics._text_int
+        monkeypatch.setattr(numerics, "_text_int", lambda t: converted.append(t) or text_int(t))
         assert trace_from_jsonl(text) == trace
         assert len(converted) == len(values) + len({den for _, den in values})
 
@@ -780,6 +780,7 @@ class TestStepGrammar:
             # repr.  NaN != NaN, so the texts are compared, not the traces.
             assert trace_to_jsonl(trace_from_jsonl(again)) == again
 
+    @pytest.mark.digit_limit
     def test_refusal_reads_values_past_the_digit_limit(self, sample):
         # The 120-step sample trace has values of 2,113 digits: past a
         # 640-digit limit, the reader and its refusal convert them through
@@ -809,6 +810,7 @@ def _round_trip(trace):
     return text
 
 
+@pytest.mark.digit_limit
 class TestPinnedTraceBytes:
     """sha256 of the concatenated ``trace_to_jsonl`` output of fixed exact runs.
 
@@ -858,6 +860,7 @@ def _assert_canonical_json_lines(text):
         assert line == json.dumps(json.loads(line), separators=(",", ":"))
 
 
+@pytest.mark.digit_limit
 class TestWriterOracle:
     """``trace_to_jsonl`` against json's own encoder, an independent oracle."""
 

@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 import pickle
+import sys
 from fractions import Fraction
 from operator import add, sub
 
@@ -32,6 +33,7 @@ from interpbisect import (
     eval_float,
     format_rational,
     parse,
+    parse_rational,
     to_text,
 )
 from reference import SAMPLE_TEXT, WalkDivisionByZero, walk_eval
@@ -43,6 +45,12 @@ X = Var()
 
 def C(*args) -> RationalConst:
     return RationalConst(F(*args))
+
+
+# CPython's cap on int <-> decimal text conversion (4,300 digits by
+# default; interpreters that predate the cap have none).
+TEXT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+LONG = 10 ** (TEXT_DIGIT_LIMIT + 100)
 
 
 ATOM_STARTERS = {"'x'", "a number", "'('", "'min'", "'max'", "'abs'"}
@@ -361,6 +369,24 @@ class TestPrinter:
     @settings(max_examples=300)
     def test_round_trip_is_structural(self, tree):
         assert parse(to_text(tree)) == tree
+
+    @pytest.mark.digit_limit
+    @pytest.mark.parametrize(
+        "tree",
+        [C(LONG + 1, 3), C(LONG), Sub(X, C(LONG)), Pow(C(7, LONG), 2), Div(X, C(LONG)), Mul(C(LONG - 1, 2), X)],
+    )
+    def test_constants_past_the_digit_limit_round_trip(self, tree):
+        assert parse(to_text(tree)) == tree
+
+    @pytest.mark.digit_limit
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 5001, "3/" + "7" * 5001, "12." + "5" * 5001, "." + "5" * 5001],
+        ids=["integer", "ratio", "decimal", "fraction-part"],
+    )
+    def test_literals_past_the_digit_limit_read_as_flags_do(self, text):
+        assert parse(text) == RationalConst(parse_rational(text))
+        assert parse(f"-{text}") == Neg(RationalConst(parse_rational(text)))
 
     def test_unspellable_trees_reparse_to_equal_value(self):
         handmade = Div(C(1), C(2))

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -127,10 +126,19 @@ class TestTextForms:
         assert parse_rational(text) == q
         assert parse_rational(num) == q.numerator
 
-    @pytest.mark.parametrize("tail", ["/0", "/00", "/x", "/-1"])
+    @pytest.mark.parametrize("tail", ["/0", "/00", "/x", "/-1", ".5/3", "/3.5", ".5.5"])
     def test_parse_rejects_long_malformed_text(self, tail):
         with pytest.raises(ValueError):
             parse_rational("1" * (TEXT_DIGIT_LIMIT + 1) + tail)
+
+    @pytest.mark.digit_limit
+    @pytest.mark.parametrize("sign", ["", "-", "+"], ids=["unsigned", "minus", "plus"])
+    @pytest.mark.parametrize("whole", ["", "0", "12"], ids=["point", "zero", "twelve"])
+    def test_decimals_past_the_text_conversion_limit(self, sign, whole):
+        # The same forms as -f's decimal literals: [0-9]+.[0-9]+ and .[0-9]+.
+        n = TEXT_DIGIT_LIMIT + 1
+        expected = Fraction(_ones(n) + int(whole or 0) * 10**n, 10**n)
+        assert parse_rational(f" {sign}{whole}.{'1' * n} ") == (-expected if sign == "-" else expected)
 
 
 class TestBackends:
@@ -293,59 +301,58 @@ class TestAligned:
         assert u * v == (15 << max(i, j) if min(i, j) > 64 else (3 << i) * (5 << j))
 
 
-def _general_parse(text):
-    """parse_rational's one path, written out: Fraction, then Decimal past the digit limit."""
-    try:
-        try:
-            return Fraction(text.strip())
-        except ValueError:
-            match = re.fullmatch(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", text)
-            if match is None:
-                raise
-            return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
-
-
-def _assert_parses_like_general_path(text):
-    try:
-        expected = _general_parse(text)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            parse_rational(text)
-        assert str(got.value) == str(exc)
-    else:
-        _same_terms(parse_rational(text), expected)
+# A run of n ones, built without int <-> text conversion, so a test runs
+# under any digit limit.
+def _ones(n):
+    return (10**n - 1) // 9
 
 
 class TestParseFastPath:
-    """``num/den`` text once took a fast path; every text parses as on the general path."""
+    """Texts that once took a fast path for ``num/den``, each with its value or refusal (None)."""
+
+    EXAMPLES = {
+        "2/4": Fraction(1, 2), "-0/5": Fraction(0), "-12/8": Fraction(-3, 2),
+        "1/0": None, "3/00": None, "-/3": None, "-6/-3": None,
+        " 1/2": Fraction(1, 2), "+1/2": Fraction(1, 2),
+        # Fraction reads PEP 515 underscores from Python 3.11 on.
+        "1_0/4": Fraction(5, 2) if sys.version_info >= (3, 11) else None,
+        "\u0663/4": Fraction(3, 4), "4/\u0663": Fraction(4, 3),
+        "0.25": Fraction(1, 4), "7": Fraction(7), "-7": Fraction(-7),
+        "1/2/3": None, "/2": None, "2/": None,
+        f"{15 << 70}/{9 << 100}": Fraction(5, 3 << 30),
+        f"-{15 << 70}/{9 << 100}": Fraction(-5, 3 << 30),
+        "1" * (TEXT_DIGIT_LIMIT + 1) + "/3": Fraction(_ones(TEXT_DIGIT_LIMIT + 1), 3),
+        "3/" + "1" * (TEXT_DIGIT_LIMIT + 1): Fraction(3, _ones(TEXT_DIGIT_LIMIT + 1)),
+    }
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            "2/4", "-0/5", "-12/8", "1/0", "3/00", "-/3", "-6/-3", " 1/2", "+1/2",
-            "1_0/4", "\u0663/4", "4/\u0663", "0.25", "7", "-7", "1/2/3", "/2", "2/",
-            f"{15 << 70}/{9 << 100}",
-            f"-{15 << 70}/{9 << 100}",
-            "1" * (TEXT_DIGIT_LIMIT + 1) + "/3",
-            "3/" + "1" * (TEXT_DIGIT_LIMIT + 1),
-        ],
-        ids=lambda text: text if len(text) <= 24 else f"{text[:10]}..{text[-10:]}",
+        "text", list(EXAMPLES), ids=lambda text: text if len(text) <= 24 else f"{text[:10]}..{text[-10:]}"
     )
     def test_examples(self, text):
-        _assert_parses_like_general_path(text)
+        expected = self.EXAMPLES[text]
+        if expected is None:
+            with pytest.raises(ValueError, match=re.escape(f"not a rational number: {text!r}")):
+                parse_rational(text)
+        else:
+            _same_terms(parse_rational(text), expected)
 
     @given(st.text(alphabet="0123456789-+/_. \u0663", max_size=12))
     @settings(max_examples=500)
     def test_short_texts(self, text):
-        _assert_parses_like_general_path(text)
+        # Below the digit limit Fraction reads the text, and refuses what parse_rational refuses.
+        try:
+            expected = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError, match=re.escape(f"not a rational number: {text!r}")):
+                parse_rational(text)
+        else:
+            _same_terms(parse_rational(text), expected)
 
     @given(st.integers(-(1 << 7000), 1 << 7000), _odd(1500), TWOS, st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_ratios(self, num, odd, k, lead_zero):
         text = f"{num}/{'0' if lead_zero else ''}{odd << k}"
-        _assert_parses_like_general_path(text)
+        _same_terms(parse_rational(text), Fraction(num, odd << k))
 
 
 class TestScalarText:
@@ -354,6 +361,9 @@ class TestScalarText:
         assert scalar_text(Fraction(4)) == "4"
         assert scalar_text(0.25) == "0.25"
 
+    @pytest.mark.digit_limit
     def test_past_the_digit_limit(self):
         q = Fraction(10 ** (TEXT_DIGIT_LIMIT + 10) + 1, 3)
         assert scalar_text(q) == format_rational(q)
+        # An integer reads as str writes one below the limit, without "/1".
+        assert scalar_text(Fraction(-(10 ** (TEXT_DIGIT_LIMIT + 10)))) == "-1" + "0" * (TEXT_DIGIT_LIMIT + 10)
