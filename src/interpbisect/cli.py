@@ -24,10 +24,9 @@ from .core import (
     BackendNotExact,
     ProblemConfig,
     SignPreconditionViolated,
-    StepRecord,
-    Trace,
     TraceFormatError,
     WeightMode,
+    _first_witness_record,
     run,
     trace_from_jsonl,
     trace_to_jsonl,
@@ -191,19 +190,6 @@ def _make_config(args: argparse.Namespace, mode: WeightMode, stop_early: bool) -
     )
 
 
-def _first_witness(trace: Trace) -> Optional[StepRecord]:
-    """The earliest recorded step with |f(c_n)| < epsilon, or None.
-
-    Under EXACT a record's f_c_n is exactly f(c_n), so this is the
-    verifier's midpoint witness, read off the run instead of re-evaluated.
-    """
-    eps = trace.config.epsilon
-    for rec in trace.steps:
-        if abs(rec.f_c_n) < eps:
-            return rec
-    return None
-
-
 def _approx(value) -> str:
     """``value`` to 9 decimals, or ``inf``/``-inf`` outside the float range."""
     return f"{_to_float(value):.9f}"
@@ -227,7 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     approx = f" ({_approx(estimate)})" if backend is EXACT else ""
     print(f"limit estimate: {backend.format(estimate)}{approx}")
     print(f"limit error bound: {backend.format(trace.limit_error_bound)}")
-    witness = _first_witness(trace)
+    witness = _first_witness_record(trace)
     if backend is EXACT:
         if witness is not None:
             print(
@@ -274,7 +260,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{_approx(rec_c.c_n):>18} {_approx(rec_c.f_c_n):>18}"
         )
     for label, trace in (("interpolated", trace_i), ("classical", trace_c)):
-        witness = _first_witness(trace)
+        witness = _first_witness_record(trace)
         if witness is None:
             print(f"{label}: no |f(c_n)| < epsilon within {len(trace.steps)} steps")
         else:

@@ -27,8 +27,8 @@ recurrence reproduces textbook bisection exactly.
 The recurrence runs in one of two backends, :data:`EXACT` (rationals,
 no rounding anywhere) and :data:`FLOAT64` (IEEE binary64).  Each owns
 its scalar type, evaluator and trace text; its ``midpoint``, two weights
-and ``next_window`` are the single-step API.  :func:`run` keeps the
-config's backend and the window in locals; only the float window
+and ``next_window`` are the single-step API.  :func:`_steps` is the one
+loop over them, and :func:`run` collects it.  Only the float window
 update checks a_n < b_n, which the width identity guarantees exactly.
 
 Runs record every step into a :class:`Trace`, which serializes to JSONL:
@@ -49,11 +49,12 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import isfinite
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .funcdsl import FunctionExpr, eval_exact, eval_float
-from .numerics import _PLAIN, _aligned, _DenTexts, _read_pair
+from .numerics import _PLAIN, _aligned, _DenTexts, _int_text, _read_pair, _text_int
 from .numerics import format_rational, parse_rational, reduced, scalar_text
 from .record import Record, init_field
 
@@ -393,6 +394,45 @@ def cauchy_bound(m: int, original_width: Scalar) -> Scalar:
     return original_width / 2 ** (m - 1)
 
 
+def _is_witness(f_c: Scalar, epsilon: Scalar) -> bool:
+    """The midpoint-witness rule: |f(c_n)| < epsilon, strictly."""
+    return abs(f_c) < epsilon
+
+
+def _first_witness_record(trace: Trace) -> Optional[StepRecord]:
+    """The earliest record with |f(c_n)| < epsilon, or None; under EXACT, the verifier's midpoint witness."""
+    return next((rec for rec in trace.steps if _is_witness(rec.f_c_n, trace.config.epsilon)), None)
+
+
+def _steps(config: ProblemConfig, f: FunctionExpr) -> Iterator[StepRecord]:
+    """Check that f(a) < 0 < f(b), then yield the records a trace of ``config`` holds.
+
+    It picks the weight rule once, keeps the window (a_n, b_n) in two
+    locals and computes the next one only when the next record is asked
+    for, so nothing is computed past the last record.
+    """
+    backend = config.backend
+    evaluate = backend.evaluate
+    f_a, f_b = evaluate(f, config.a), evaluate(f, config.b)
+    if not (f_a < 0 and f_b > 0):
+        raise SignPreconditionViolated(f_a, f_b)
+
+    epsilon, width = config.epsilon, config.original_width
+    if config.weight_mode is WeightMode.INTERPOLATED:
+        weight = lambda f_c: backend.interpolation_weight(f_c, epsilon)
+    else:
+        weight = backend.classical_weight
+    a, b = config.a, config.b
+    for n in count(1):
+        c = backend.midpoint(a, b)
+        f_c = evaluate(f, c)
+        d = weight(f_c)
+        yield StepRecord(n, a, b, c, f_c, d)
+        if n == config.max_steps or config.stop_early and _is_witness(f_c, epsilon):
+            return
+        a, b = backend.next_window(n, b, c, d, width)
+
+
 def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
     """Run the iteration, checking the sign precondition first.
 
@@ -404,39 +444,12 @@ def run(config: ProblemConfig, f: FunctionExpr) -> Trace:
             arithmetic.
         EvalError: if f divides by zero at a visited point.
     """
-    backend = config.backend
-    evaluate = backend.evaluate
-    f_a = evaluate(f, config.a)
-    f_b = evaluate(f, config.b)
-    if not (f_a < 0 and f_b > 0):
-        raise SignPreconditionViolated(f_a, f_b)
-
-    width = config.original_width
-    a, b = config.a, config.b
-    records = []
-    stopped_at: Optional[int] = None
-    for n in range(1, config.max_steps + 1):
-        c = backend.midpoint(a, b)
-        f_c = evaluate(f, c)
-        if config.weight_mode is WeightMode.INTERPOLATED:
-            d = backend.interpolation_weight(f_c, config.epsilon)
-        else:
-            d = backend.classical_weight(f_c)
-        records.append(StepRecord(n, a, b, c, f_c, d))
-        if config.stop_early and abs(f_c) < config.epsilon:
-            stopped_at = n
-            break
-        if n < config.max_steps:
-            a, b = backend.next_window(n, b, c, d, width)
-
-    last = records[-1]
-    return Trace(
-        config=config,
-        steps=tuple(records),
-        limit_estimate=last.c_n,
-        limit_error_bound=cauchy_bound(last.n, width),
-        stopped_early_at=stopped_at,
-    )
+    steps = tuple(_steps(config, f))
+    last = steps[-1]
+    # Under stop_early the last record is a witness exactly when the run stopped early.
+    stopped = config.stop_early and _is_witness(last.f_c_n, config.epsilon)
+    bound = cauchy_bound(last.n, config.original_width)
+    return Trace(config, steps, last.c_n, bound, stopped_early_at=last.n if stopped else None)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +472,7 @@ def trace_to_jsonl(trace: Trace) -> str:
     text = backend._trace_codec()[0]
     a, b, epsilon = (text(v) for v in (config.a, config.b, config.epsilon))
     stop = ',"stop_early":true' if config.stop_early else ""
-    lines = [_HEAD(a, b, epsilon, backend.name, config.weight_mode.value, config.max_steps, stop)]
+    lines = [_HEAD(a, b, epsilon, backend.name, config.weight_mode.value, _int_text(config.max_steps), stop)]
     lines += [
         _STEP(rec.n, text(rec.a_n), text(rec.b_n), text(rec.c_n), text(rec.f_c_n), text(rec.d_n))
         for rec in trace.steps
@@ -557,7 +570,7 @@ def trace_from_jsonl(text: str) -> Trace:
         raise _refusal(lines[0], 1, "config", BACKENDS.values())
     mode, max_steps, stop = match.groups()[-3:]
     try:
-        config = ProblemConfig(*values, int(max_steps), WeightMode(mode), backend, stop is not None)
+        config = ProblemConfig(*values, _text_int(max_steps), WeightMode(mode), backend, stop is not None)
     except ValueError as exc:
         raise TraceFormatError(f"line 1: bad config: {exc}") from exc
 
@@ -578,11 +591,12 @@ def trace_from_jsonl(text: str) -> Trace:
         raise _refusal(lines[-1], lineno, "final", (backend,))
     stopped = match.groups()[-1]
     stopped = None if stopped is None else int(stopped)
-    count, most = len(records), config.max_steps
-    if stopped is None and count != most:
-        raise TraceFormatError(f"line {lineno}: {count} steps, max_steps {most}, no stopped_early_at")
+    # max_steps is printed as the config line has it, in any number of digits.
+    steps, most = len(records), config.max_steps
+    if stopped is None and steps != most:
+        raise TraceFormatError(f"line {lineno}: {steps} steps, max_steps {max_steps}, no stopped_early_at")
     if stopped is not None and not config.stop_early:
         raise TraceFormatError(f"line {lineno}: stopped_early_at without stop_early")
-    if stopped is not None and not stopped == count <= most:
-        raise TraceFormatError(f"line {lineno}: {count} steps, max_steps {most}, stopped_early_at {stopped}")
+    if stopped is not None and not stopped == steps <= most:
+        raise TraceFormatError(f"line {lineno}: {steps} steps, max_steps {max_steps}, stopped_early_at {stopped}")
     return Trace(config, tuple(records), *values, stopped_early_at=stopped)

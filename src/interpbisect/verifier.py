@@ -35,7 +35,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .core import EXACT, BackendNotExact, StepRecord, Trace, _require_int, cauchy_bound
+from .core import EXACT, BackendNotExact, StepRecord, Trace, _is_witness, _require_int, cauchy_bound
 from .funcdsl import Abs, Div, FunctionExpr, Max, Min, Mul, Neg, Pow, RationalConst, Sub, Var
 from .funcdsl import _lower, eval_exact
 from .numerics import format_rational, scalar_text
@@ -150,7 +150,7 @@ def _earliest_witness(
     for rec in trace.steps:
         if witness is None:
             f_c = eval_exact(f, rec.c_n)
-            if abs(f_c) < epsilon:
+            if _is_witness(f_c, epsilon):
                 witness = WitnessFound(j=rec.n, value=f_c)
         yield rec, witness
 

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from interpbisect import cli, eval_exact, trace_from_jsonl, verifier
+from interpbisect import ProblemConfig, TraceFormatError, cli, eval_exact, parse, run, verifier
+from interpbisect import trace_from_jsonl, trace_to_jsonl
 from interpbisect.cli import EXIT_CLAIM, EXIT_OK, EXIT_SIGN, EXIT_USAGE, main
 from reference import SAMPLE_TEXT
 
@@ -96,6 +97,29 @@ class TestRun:
         assert code == EXIT_USAGE == 2
         assert stderr.startswith("error: degenerate interval at step 56: [")
         assert not out.exists()
+
+    def test_float_run_computes_nothing_past_its_last_step(self, tmp_path, capsys):
+        # Step 56's window is degenerate (the 60-step test above), so a
+        # 55-step run must not compute the window after its last record.
+        out = tmp_path / "f.jsonl"
+        code, stdout, err = run_cli(
+            RUN_SAMPLE + ["--backend", "float", "--max-steps", "55", "--out", out], capsys
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert f"wrote 55 steps to {out}\n" in stdout
+        assert len(trace_from_jsonl(out.read_text()).steps) == 55
+
+    def test_stop_early_computes_nothing_past_the_witness(self, tmp_path, capsys):
+        # c_1 = 0 is a witness (|f| = 1/10 < 1/2), and c_2 = 1/5 is a pole.
+        out = tmp_path / "s.jsonl"
+        argv = ["run", "-f", "x - 1/10 + 0*(1/(x - 1/5))", "--a=-1", "--b", "1", "-e", "1/2",
+                "--out", out]
+        code, stdout, err = run_cli(argv + ["--stop-early"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert f"wrote 1 step to {out}\nstopped early at step 1\n" in stdout
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("evaluation: division by zero at x = 1/5 ")
 
     def test_stop_early(self, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
@@ -378,6 +402,53 @@ class TestReadmeExamples:
         assert stdout == output
 
 
+class TestWitnessRule:
+    """|f(c_n)| < epsilon is strict in run, compare and verify alike.
+
+    For x - 1/2 on [-1, 1] at epsilon = 1/2, |f(c_1)| = |f(0)| = epsilon is
+    no witness; the weight 0 keeps [0, 1], and f(c_2) = f(1/2) = 0 is one.
+    """
+
+    FLAGS = ["-f", "x - 1/2", "--a=-1", "--b", "1", "-e", "1/2", "--max-steps", "4"]
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_run_stops_and_names_step_2(self, backend, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        flags = [*self.FLAGS, "--backend", backend, "--out", out]
+        witness = (
+            "witness: |f(c_2)| < epsilon at c_2 = 1/2, f = 0/1\n" if backend == "exact"
+            else "first recorded |f(c_n)| < epsilon at step 2\n"
+        )
+        code, stdout, _ = run_cli(["run", *flags, "--stop-early"], capsys)
+        assert code == EXIT_OK
+        assert f"wrote 2 steps to {out}\nstopped early at step 2\n" in stdout
+        assert stdout.endswith(witness)
+        code, stdout, _ = run_cli(["run", *flags], capsys)
+        assert code == EXIT_OK
+        assert f"wrote 4 steps to {out}\n" in stdout and stdout.endswith(witness)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_compare_names_step_2(self, backend, capsys):
+        code, stdout, _ = run_cli(["compare", *self.FLAGS, "--backend", backend], capsys)
+        assert code == EXIT_OK
+        assert stdout.endswith(
+            "interpolated: first |f(c_n)| < epsilon at step 2\n"
+            "classical: first |f(c_n)| < epsilon at step 2\n"
+        )
+
+    def test_verify_reads_step_1_as_a_straddle(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert run_cli(["run", *self.FLAGS, "--stop-early", "--out", out], capsys)[0] == EXIT_OK
+        code, stdout, err = run_cli(["verify", "-t", out, "-f", "x - 1/2"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(stdout)
+        assert report["claim"] == [
+            {"m": 1, "case": "straddle", "f_a_m": "-3/2", "f_b_m": "1/2"},
+            {"m": 2, "case": "witness", "j": 2, "value": "0/1"},
+        ]
+        assert report["witness"] == {"kind": "midpoint", "x": "1/2", "f_x": "0/1", "index": 2}
+
+
 class TestVerify:
     @pytest.fixture()
     def trace_path(self, tmp_path, capsys):
@@ -494,6 +565,24 @@ class TestVerify:
         code, stdout, err = run_cli(["verify", "-t", out, "-f", SAMPLE_TEXT], capsys)
         assert code == EXIT_USAGE and stdout == ""
         assert "trace: line 6: 4 steps, max_steps 5, no stopped_early_at" in err
+
+    @pytest.mark.digit_limit
+    def test_max_steps_of_any_length(self, tmp_path, capsys):
+        # One stop-early step of a run allowed 10^5000: max_steps's text
+        # has 5,001 digits, past CPython's int <-> text limit.
+        config = ProblemConfig(F(-1), F(1), F(1, 2), max_steps=10**5000, stop_early=True)
+        trace = run(config, parse("x"))
+        text = trace_to_jsonl(trace)
+        assert trace_from_jsonl(text) == trace
+        out = tmp_path / "t.jsonl"
+        out.write_text(text)
+        code, _, err = run_cli(["verify", "-t", out, "-f", "x"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        # Without stop_early, one step falls short of max_steps.
+        unstopped = text.replace(',"stop_early":true', "").replace(',"stopped_early_at":1', "")
+        with pytest.raises(TraceFormatError) as info:
+            trace_from_jsonl(unstopped)
+        assert str(info.value) == f"line 3: 1 steps, max_steps 1{'0' * 5000}, no stopped_early_at"
 
     @pytest.mark.parametrize(
         "epsilon,steps,stopped,message",
