@@ -338,7 +338,7 @@ class ProblemConfig(Record):
         if not isinstance(stop_early, bool):
             raise TypeError(f"stop_early must be a bool, got {type(stop_early).__name__}")
         if max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+            raise ValueError(f"max_steps must be at least 1, got {scalar_text(max_steps)}")
         self._init(a, b, epsilon, max_steps, weight_mode, backend, stop_early)
 
     @property

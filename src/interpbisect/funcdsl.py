@@ -24,7 +24,9 @@ division; ``x/2/3`` stays left-associative ``(x/2)/3``.
 Evaluation compiles each expression once per backend, on its first
 evaluation, into closures cached on the expression object.  One walk
 over the tree labels paths and folds constants for every backend, and
-each backend supplies only a node builder; see the Evaluation section.
+each backend supplies a node builder; the exact evaluator and the grid
+also compile each polynomial branch to one Horner kernel.  See the
+Evaluation section.
 """
 
 from __future__ import annotations
@@ -180,56 +182,148 @@ class EvalError(ArithmeticError):
 # error names the same node and the same ``x`` as a left-to-right walk
 # of the tree would.
 #
+# The exact and grid backends also supply a kernel builder.  For them
+# the walk collects each subtree made only of x, constants, +, -, unary
+# -, x^k, products with a constant or with a single term c x^j, and
+# divisions by a nonzero constant into sparse terms {k: c_k}; the terms
+# of a node come from its children's, once.  Each maximal such subtree
+# that depends on x becomes one kernel, which evaluates the polynomial
+# by Horner's rule, instead of one closure per node.  Products of sums
+# and powers of sums are never expanded, so x^3000000 - 1/2 is two
+# terms.  No such subtree divides by zero.  eval_float keeps one closure
+# per node: a float trace records the rounding of each node.
+#
 # Exact closures map x, passed as its numerator and denominator, to a
 # value pair (num, den) with den > 0 that no closure reduces; eval_exact
 # reduces once, at the end, through ``numerics.reduced``, which splits
-# off the power of two first.  A node with one constant operand p/q
-# keeps the constant in its closure: ``*`` gives (a p, b q), ``+`` and
-# ``-`` give (a q +- p b, b q), and ``/ (p/q)`` is ``* (q/p)``.  Sums
-# and min/max comparisons of two x-dependent subtrees go through
+# off the power of two first.  Sums and min/max comparisons go through
 # ``numerics._aligned``: at the iteration's midpoints x = n/2^E q, so a
 # degree-k term carries about 2^(kE), and aligning by shifts keeps a sum
-# of a quartic and a square over 2^(4E) where cross-multiplying would
-# give 2^(6E).  _aligned chooses its own path: operands with at most 64
-# twos it cross-multiplies.  ``Pow`` raises a denominator b = 2^t q as
-# (q^k) << tk, not b^k.
+# of two x-dependent subtrees over the larger power of two where
+# cross-multiplying would multiply them.  _aligned chooses its own
+# path: operands with at most 64 twos it cross-multiplies.  ``Pow`` and
+# the kernel raise a denominator d = 2^t q as (q^k) << tk, not d^k.
 
 
-def _lower(expr: FunctionExpr, path: Tuple[str, ...], node, fold):
+_ONE, _ZERO = Fraction(1), Fraction(0)
+
+
+def _lower(expr: FunctionExpr, path: Tuple[str, ...], node, fold, kernel=None):
     """``(code, const)``: ``expr`` as backend code, and its value if x-free, else None.
 
     ``node(expr, path, kids)`` makes that pair for one node from its
-    children's.  A node whose children are all constant is folded by
+    children's (each child's tuple starts with its pair).  A node whose children are all constant is folded by
     ``fold(code)``, which runs it once and returns a constant's pair,
     unless the run raises EvalError: then the node raises when it runs.
+    With ``kernel``, constants are Fractions, and each constant and
+    polynomial subtree is lowered to ``kernel(terms)``, not by ``node``
+    (see the Evaluation comment); it is x-free when its terms have no x
+    term, as x - x.
+    """
+    code, const, terms = _walk(expr, path, node, fold, kernel)
+    return kernel(terms) if code is None else code, const
+
+
+def _walk(expr: FunctionExpr, path: Tuple[str, ...], node, fold, kernel):
+    """``(code, const, terms)`` for ``_lower``.
+
+    ``terms`` is the subtree's polynomial {k: c_k} (None if it is none,
+    or without ``kernel``), and ``code`` is None while the subtree is
+    part of a larger polynomial, whose kernel is built where it ends.
     """
     kind = type(expr)
+    if kernel is not None and kind is RationalConst:
+        c = expr.value
+        return None, c, {0: c} if c else {}
     if kind is Var or kind is RationalConst:
-        return node(expr, path, ())
+        code, const = node(expr, path, ())
+        return code, const, None if kernel is None else {1: _ONE}
     name = kind.__name__
     if kind is Neg or kind is Abs or kind is Pow:
         child = expr.base if kind is Pow else expr.operand
-        kids = (_lower(child, path + (name,), node, fold),)
+        kids = (_walk(child, path + (name,), node, fold, kernel),)
     elif kind in (Add, Sub, Mul, Div, Min, Max):
         kids = (
-            _lower(expr.left, path + (f"{name}[0]",), node, fold),
-            _lower(expr.right, path + (f"{name}[1]",), node, fold),
+            _walk(expr.left, path + (f"{name}[0]",), node, fold, kernel),
+            _walk(expr.right, path + (f"{name}[1]",), node, fold, kernel),
         )
     else:
         raise TypeError(f"not a function expression: {expr!r}")
-    lowered = node(expr, path, kids)
+    if kernel is not None:
+        terms = _terms(expr, kids)
+        if terms is not None:
+            return None, None if any(terms) else terms.get(0, _ZERO), terms
+        kids = [(kernel(terms) if code is None else code, const) for code, const, terms in kids]
+    code, const = node(expr, path, kids)
     # kids[-1] is kids[0] for a node with one child.
-    if lowered[1] is not None or kids[0][1] is None or kids[-1][1] is None:
-        return lowered
-    try:
-        return fold(lowered[0])
-    except EvalError:
-        return lowered
+    if const is None and kids[0][1] is not None and kids[-1][1] is not None:
+        try:
+            code, const = fold(code)
+        except EvalError:
+            pass
+    if kernel is None or const is None:
+        return code, const, None
+    return code, const, {0: const} if const else {}
+
+
+def _terms(expr: FunctionExpr, kids):
+    """The terms {k: c_k} of a node from its children's, or None if it is no polynomial.
+
+    A child's dict belongs to this node alone, so sums update one of
+    them in place: merging the smaller into the larger.  Zero
+    coefficients are dropped.
+    """
+    kind = type(expr)
+    t = kids[0][2]
+    if t is None or kind is Abs or kind is Min or kind is Max:
+        return None
+    if kind is Neg:
+        for k in t:
+            t[k] = -t[k]
+        return t
+    if kind is Pow:
+        k = expr.exponent
+        if k == 0:
+            return {0: _ONE}
+        if len(t) == 1:
+            [(j, c)] = t.items()
+            return {j * k: c if c == 1 else c**k}
+        return t if k == 1 or not t else None
+    u = kids[1][2]
+    if u is None:
+        return None
+    if kind is Add or kind is Sub:
+        if kind is Sub:
+            for k in u:
+                u[k] = -u[k]
+        if len(t) < len(u):
+            t, u = u, t
+        for k, c in u.items():
+            if k in t:
+                c += t[k]
+                if not c:
+                    del t[k]
+                    continue
+            t[k] = c
+        return t
+    if kind is Div:
+        if len(u) != 1 or 0 not in u:
+            return None
+        c = u[0]
+        return {k: v / c for k, v in t.items()}
+    if len(u) > 1:
+        t, u = u, t
+    if len(u) > 1:
+        return None
+    if not u:
+        return {}
+    [(j, c)] = u.items()
+    return {k + j: v if c == 1 else v * c for k, v in t.items()}
 
 
 def _exact_const(q: Fraction):
     num, den = q.numerator, q.denominator
-    return (lambda n, d: (num, den)), (num, den)
+    return (lambda n, d: (num, den)), q
 
 
 def _exact_fold(fn):
@@ -237,13 +331,11 @@ def _exact_fold(fn):
 
 
 def _exact_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
-    """``(fn, const)`` for one node: ``fn(xn, xd)`` is its value pair at x = xn/xd."""
+    """``(fn, const)`` for one node but a constant: ``fn(xn, xd)`` is its value pair at x = xn/xd."""
     kind = type(expr)
     if kind is Var:
         return (lambda n, d: (n, d)), None
-    if kind is RationalConst:
-        return _exact_const(expr.value)
-    f, cf = kids[0]
+    f = kids[0][0]
     if kind is Neg:
         def fn(n, d):
             a, b = f(n, d)
@@ -260,11 +352,7 @@ def _exact_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
             t = (b & -b).bit_length() - 1
             return a**k, ((b >> t) ** k) << (t * k)
     else:
-        g, cg = kids[1]
-        if kind is Div and cg is not None and cg[0] != 0:
-            # u / (p/q) is u * (q/p), with the sign moved to the numerator.
-            sign = -1 if cg[0] < 0 else 1
-            kind, cg = Mul, (sign * cg[1], sign * cg[0])
+        g = kids[1][0]
         if kind is Div:
             div_path = path + ("Div",)
 
@@ -288,24 +376,6 @@ def _exact_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
                 v = c, e = g(n, d)
                 x, y, _, _ = _aligned(a, b, c, e)
                 return v if x < y else u
-        elif cf is not None or cg is not None:
-            # One constant operand p/q (both constant folds in _lower).
-            u, (p, q) = (f, cg) if cg is not None else (g, cf)
-            if kind is Mul:
-                def fn(n, d):
-                    a, b = u(n, d)
-                    return a * p, b * q
-            elif kind is Sub and cg is None:
-                def fn(n, d):
-                    a, b = u(n, d)
-                    return p * b - a * q, b * q
-            else:
-                if kind is Sub:
-                    p = -p
-
-                def fn(n, d):
-                    a, b = u(n, d)
-                    return a * q + p * b, b * q
         elif kind is Add:
             def fn(n, d):
                 a, b = f(n, d)
@@ -326,7 +396,52 @@ def _exact_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
     return fn, None
 
 
-_compile_exact = partial(_lower, node=_exact_node, fold=_exact_fold)
+def _integer_terms(terms):
+    """``(L, [(k, C_k), ...])`` for terms with an x term, by descending k.
+
+    L is the lcm of the coefficients' denominators and C_k = L c_k.
+    """
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    coeffs = [(k, c.numerator * (scale // c.denominator)) for k, c in terms.items()]
+    coeffs.sort(reverse=True)
+    return scale, coeffs
+
+
+def _exact_kernel(terms):
+    """``fn(n, d)`` for the polynomial sum of c_k x^k over ``terms``, at x = n/d.
+
+    With L and C_k from _integer_terms and D the top exponent, fn
+    returns (sum of C_k n^k d^(D-k), L d^D) by Horner's rule on
+    integers, stepping over each gap in the exponents with one power.
+    With d = 2^t q, d^j is (q^j) << tj.
+    """
+    if not any(terms):
+        return _exact_const(terms.get(0, _ZERO))[0]
+    scale, coeffs = _integer_terms(terms)
+    top, lead = coeffs[0]
+    low = coeffs[-1][0]
+    # (gap, C_e, D - e) from each exponent down to the next, e.
+    steps = tuple((k - e, c, top - e) for (k, _), (e, c) in zip(coeffs, coeffs[1:]))
+
+    def fn(n, d):
+        t = (d & -d).bit_length() - 1
+        q = d >> t
+        acc, qp = lead, 1
+        for gap, c, r in steps:
+            if gap == 1:
+                qp *= q
+                acc = acc * n + (c * qp << t * r)
+            else:
+                qp *= q**gap
+                acc = acc * n**gap + (c * qp << t * r)
+        if low:
+            return acc * n**low, scale * qp * q**low << t * top
+        return acc, scale * qp << t * top
+
+    return fn
+
+
+_compile_exact = partial(_lower, node=_exact_node, fold=_exact_fold, kernel=_exact_kernel)
 
 
 def _float_fold(fn):

@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 
 from .core import Trace
 from .funcdsl import EvalError, FunctionExpr, eval_float, to_text
-from .numerics import _to_float
+from .numerics import _to_float, scalar_text
 from .record import Record
 
 __all__ = ["MAX_SAMPLES", "PlotError", "PlotSpec", "render_trace_svg"]
@@ -66,9 +66,9 @@ def render_trace_svg(spec: PlotSpec) -> str:
             an empty/degenerate range.
     """
     if spec.samples < 2:
-        raise PlotError(f"need at least 2 curve samples, got {spec.samples}")
+        raise PlotError(f"need at least 2 curve samples, got {scalar_text(spec.samples)}")
     if spec.samples > MAX_SAMPLES:
-        raise PlotError(f"at most {MAX_SAMPLES} curve samples, got {spec.samples}")
+        raise PlotError(f"at most {MAX_SAMPLES} curve samples, got {scalar_text(spec.samples)}")
     trace = spec.trace
     backend = trace.config.backend
     f = spec.function

@@ -21,8 +21,10 @@ points is N(u)/s for one integer scale s, so :func:`grid_oracle` compares
 integer enclosure of N lies outside that band and scans the rest as
 integer columns, left first; only the reported point becomes a
 Fraction, with the value N/s read off its column, so the scan never
-compiles the exact evaluator.  A function with an x-dependent or zero
-divisor is evaluated point by point instead.
+compiles the exact evaluator.  Each polynomial branch of f is one
+kernel: its column and its enclosure are Horner's rule on integer
+coefficients, the enclosure in interval arithmetic.  A function with an
+x-dependent or zero divisor is evaluated point by point instead.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from operator import add, mul
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .core import EXACT, BackendNotExact, StepRecord, Trace, _is_witness, _require_int, cauchy_bound
-from .funcdsl import Abs, Div, FunctionExpr, Max, Min, Mul, Neg, Pow, RationalConst, Sub, Var
-from .funcdsl import _lower, eval_exact
+from .funcdsl import Abs, Div, FunctionExpr, Max, Min, Mul, Neg, Pow, Sub, Var
+from .funcdsl import _integer_terms, _lower, eval_exact
 from .numerics import format_rational, scalar_text
 from .record import Record, init_field
 
@@ -232,7 +234,7 @@ def continuity_budget_check(trace: Trace, delta: Fraction, m: int) -> Continuity
     _require_int("m", m)
     if not 1 <= m <= len(trace.steps):
         raise ValueError(
-            f"m = {m} is not a recorded step (trace has {len(trace.steps)})"
+            f"m = {scalar_text(m)} is not a recorded step (trace has {len(trace.steps)})"
         )
     width = trace.config.original_width
     half_delta = delta / 2
@@ -250,6 +252,8 @@ def continuity_budget_check(trace: Trace, delta: Fraction, m: int) -> Continuity
 # of numerators u, aligning scales by their lcm.  Each node's enclosure
 # is interval arithmetic over the numerators at its own scale (Moore,
 # Interval Analysis, 1966).  A grid pair is ((column, enclose, s), const).
+# The walk hands each polynomial branch to _grid_kernel instead, whose
+# column is a chain of maps and whose enclosure is interval Horner.
 
 
 class _NoColumn(Exception):
@@ -261,6 +265,13 @@ def _magnitude(lo: int, hi: int):
     if lo >= 0:
         return lo, hi
     return (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+
+
+def _power(lo: int, hi: int, k: int):
+    """The enclosure of N^k, k >= 1, from the enclosure [lo, hi] of N."""
+    if not k & 1:
+        lo, hi = _magnitude(lo, hi)
+    return lo**k, hi**k
 
 
 def _grid_times(f, e, m: int, c=None):
@@ -292,24 +303,16 @@ def _grid_fold(code):
 
 
 def _grid_node(den: int, expr: FunctionExpr, path: Tuple[str, ...], kids):
-    """The grid pair for one node on the points x = u/den (see _lower)."""
+    """The grid pair for one node but a constant on the points x = u/den (see _lower)."""
     kind = type(expr)
     if kind is Var:
         return ((lambda us: us), (lambda lo, hi: (lo, hi)), den), None
-    if kind is RationalConst:
-        return _grid_const(expr.value)
     (f, e, s), c = kids[0]
     if kind is Pow:
         k = expr.exponent
         if k == 0:
             return _grid_const(Fraction(1))
-
-        def enclose(lo, hi):
-            lo, hi = e(lo, hi)
-            if not k & 1:
-                lo, hi = _magnitude(lo, hi)
-            return lo**k, hi**k
-
+        enclose = lambda lo, hi: _power(*e(lo, hi), k)
         return ((lambda us: map(pow, f(us), repeat(k))), enclose, s**k), None
     if kind is Neg:
         return (*_grid_times(f, e, -1), s), None
@@ -349,6 +352,50 @@ def _grid_node(den: int, expr: FunctionExpr, path: Tuple[str, ...], kids):
     return ((lambda us: map(op, f(us), g(us))), enclose, scale), None
 
 
+def _grid_kernel(den: int, terms):
+    """``(column, enclose, s)`` for the polynomial sum of c_k x^k over ``terms``.
+
+    On x = u/den it is N(u)/s with N(u) = sum of A_k u^k, where, with L
+    and C_k from funcdsl's _integer_terms and D the top exponent, A_k =
+    C_k den^(D-k) and s = L den^D.  The column and the enclosure both
+    follow Horner's rule, stepping over each gap in the exponents with
+    one power: the column as chained maps, the enclosure in interval
+    arithmetic over [u_lo, u_hi].
+    """
+    if not any(terms):
+        return _grid_const(terms.get(0, Fraction(0)))[0]
+    scale, coeffs = _integer_terms(terms)
+    top, lead = coeffs[0]
+    low = coeffs[-1][0]
+    # (gap, A_e) from each exponent down to the next, e, with den^(D-e)
+    # in power; a last (low, 0) multiplies by u^low when x divides N.
+    steps = []
+    power = 1
+    for (k, _), (e, c) in zip(coeffs, coeffs[1:]):
+        power *= den ** (k - e)
+        steps.append((k - e, c * power))
+    if low:
+        steps.append((low, 0))
+
+    def column(us):
+        col = repeat(lead)  # ended by the first product with us
+        for gap, a in steps:
+            col = map(mul, col, us if gap == 1 else map(pow, us, repeat(gap)))
+            if a:
+                col = map(add, col, repeat(a))
+        return col
+
+    def enclose(lo, hi):
+        a = b = lead
+        for gap, c in steps:
+            p, q = (lo, hi) if gap == 1 else _power(lo, hi, gap)
+            products = a * p, a * q, b * p, b * q
+            a, b = min(products) + c, max(products) + c
+        return a, b
+
+    return column, enclose, scale * den**top
+
+
 def _compile_grid(expr: FunctionExpr, den: int):
     """``(fn, enclose, s)`` tabulating ``expr`` on the points x = u/den, or None.
 
@@ -361,7 +408,7 @@ def _compile_grid(expr: FunctionExpr, den: int):
     by point, where the error names its x and node.
     """
     try:
-        return _lower(expr, (), partial(_grid_node, den), _grid_fold)[0]
+        return _lower(expr, (), partial(_grid_node, den), _grid_fold, partial(_grid_kernel, den))[0]
     except _NoColumn:
         return None
 
@@ -403,7 +450,7 @@ def grid_oracle(
         raise ValueError(f"epsilon must be positive, got {scalar_text(epsilon)}")
     _require_int("grid_n", grid_n)
     if grid_n < 1:
-        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+        raise ValueError(f"grid_n must be at least 1, got {scalar_text(grid_n)}")
     # x_k = (start + k stride) / den: every grid point over one
     # common denominator.
     width = b - a

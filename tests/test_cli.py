@@ -791,6 +791,22 @@ class TestPlot:
         assert (code, err) == (EXIT_OK, "")
         assert svg_path.read_text().count(" L") == 65535
 
+    @pytest.mark.parametrize(
+        "samples,message",
+        [
+            (-10**5000, "need at least 2 curve samples, got -1"),
+            (10**5000, "at most 65536 curve samples, got 1"),
+        ],
+        ids=["negative", "positive"],
+    )
+    def test_a_refused_sample_count_of_any_length_is_printed(self, samples, message):
+        # 5,001 digits: past CPython's default limit for int-to-text conversion.
+        f = parse(SAMPLE_TEXT)
+        trace = run(ProblemConfig(Fraction(-1), Fraction(1), Fraction(1, 2), max_steps=2), f)
+        with pytest.raises(cli.PlotError) as err:
+            cli.render_trace_svg(cli.PlotSpec(function=f, trace=trace, samples=samples))
+        assert str(err.value) == message + "0" * 5000
+
     def test_function_with_pole_still_plots(self, tmp_path, capsys):
         # curve sampling tolerates isolated evaluation failures
         trace = tmp_path / "t.jsonl"

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import sys
+import time
 from fractions import Fraction
 from operator import add, sub
 
@@ -537,15 +538,47 @@ class TestCompiledEvaluators:
     @pytest.mark.parametrize("node", [Min, Max])
     @pytest.mark.parametrize("k", [0, 64, 65, 1000])
     def test_tie_keeps_the_left_pair(self, node, k):
-        # x + x and 2x are equal but come out in different terms; at a tie
-        # min and max return the left operand's pair, whichever it is.
-        sum_, double = Add(X, X), Mul(C(2), X)
+        # abs(x) + abs(x) and 2 abs(x) are equal but come out in different
+        # terms (abs keeps them closures, not one polynomial kernel); at a
+        # tie min and max return the left operand's pair, whichever it is.
+        sum_, double = Add(Abs(X), Abs(X)), Mul(C(2), Abs(X))
         n, d = 3, 5 << k
         sum_pair = _compile_exact(sum_, ())[0](n, d)
         double_pair = _compile_exact(double, ())[0](n, d)
         assert sum_pair != double_pair
         assert _compile_exact(node(sum_, double), ())[0](n, d) == sum_pair
         assert _compile_exact(node(double, sum_), ())[0](n, d) == double_pair
+
+    @pytest.mark.parametrize("k", [0, 64, 65, 1000])
+    @pytest.mark.parametrize(
+        "text",
+        ["x^3000 - 1/2", "x^9 - x^9 + 1", "(1+6x^2)/7", "3*x*x - x^2", "-(x^5)/(-4) + x^0"],
+    )
+    def test_polynomial_kernels_equal_walk(self, text, k):
+        # Polynomial shapes eval_trees does not draw: a sparse high power,
+        # terms that cancel, a product of two single terms, x^0 and a
+        # negative divisor.  Each point has k twos in its denominator: one
+        # near 0 and one past 5, and the grid's us/den near 0.
+        expr = parse(text)
+        den = 5 << k
+        for x in (F(3, den), F((5 << k) + 3, 1 << k)):
+            assert eval_exact(expr, x) == walk_eval(expr, x, Fraction)
+        column, enclose, scale = _compile_grid(expr, den)
+        us = range(-3, 4)
+        got = list(column(us))
+        want = [walk_eval(expr, F(u, den), Fraction) for u in us]
+        # Cross-multiplied: reducing N/scale of x^3000 would take a gcd of
+        # 3,000,000-bit integers.
+        assert all(n * w.denominator == w.numerator * scale for n, w in zip(got, want))
+        lo, hi = enclose(us[0], us[-1])
+        assert all(lo <= n <= hi for n in got)
+
+    def test_a_sparse_power_is_not_expanded(self):
+        # Two terms: a dense list of 3,000,001 coefficients would take minutes.
+        start = time.perf_counter()
+        got = eval_exact(parse("x^3000000 - 1/2"), F(1, 2))
+        assert time.perf_counter() - start < 10
+        assert (got.numerator, got.denominator) == (1 - (1 << 2999999), 1 << 3000000)
 
     @given(eval_trees, _exact_points)
     @settings(max_examples=300, deadline=None)

@@ -250,3 +250,10 @@ def test_a_trace_has_steps():
 def test_config_refusals(kwargs, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         ProblemConfig(**{"a": F(-1), "b": F(1), "epsilon": F(1, 3), **kwargs})
+
+
+def test_a_refused_max_steps_of_any_length_is_printed():
+    # 5,001 digits: past CPython's default limit for int-to-text conversion.
+    with pytest.raises(ValueError) as err:
+        ProblemConfig(a=F(-1), b=F(1), epsilon=F(1, 2), max_steps=-10**5000)
+    assert str(err.value) == "max_steps must be at least 1, got -1" + "0" * 5000

@@ -263,6 +263,13 @@ class TestContinuityBudget:
         with pytest.raises(TypeError, match=r"^m must be an int, got "):
             continuity_budget_check(sample_trace_half, F(1, 8), m)
 
+    def test_a_refused_m_of_any_length_is_printed(self, sample_trace_half):
+        # 5,001 digits: past CPython's default limit for int-to-text conversion.
+        with pytest.raises(ValueError) as err:
+            continuity_budget_check(sample_trace_half, F(1, 8), 10**5000)
+        steps = len(sample_trace_half.steps)
+        assert str(err.value) == f"m = 1{'0' * 5000} is not a recorded step (trace has {steps})"
+
 
 class TestGridOracle:
     def test_sample_first_hit_frozen(self, sample_fn):
@@ -311,6 +318,12 @@ class TestGridOracle:
     def test_grid_n_must_be_an_int(self, grid_n):
         with pytest.raises(TypeError, match=r"^grid_n must be an int, got "):
             grid_oracle(parse("x"), F(-1), F(1), F(1, 2), grid_n)
+
+    def test_a_refused_grid_n_of_any_length_is_printed(self):
+        # 5,001 digits: past CPython's default limit for int-to-text conversion.
+        with pytest.raises(ValueError) as err:
+            grid_oracle(parse("x"), F(-1), F(1), F(1, 2), -10**5000)
+        assert str(err.value) == "grid_n must be at least 1, got -1" + "0" * 5000
 
     # Divisors that depend on x or are zero take the point-by-point scan,
     # which raises at the first grid point that divides by zero.
