@@ -13,9 +13,8 @@ import argparse
 import functools
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence
 
 from . import __version__
 from .core import (
@@ -32,7 +31,7 @@ from .core import (
     trace_to_jsonl,
 )
 from .funcdsl import EvalError, ParseError, parse, to_text
-from .numerics import _to_float, parse_rational
+from .numerics import _float_in_range, _text_int, _to_float, parse_rational, scalar_text
 
 __all__ = [
     "EXIT_OK",
@@ -70,13 +69,20 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+# Text int() reads but refuses past CPython's digit limit.
+_DIGITS = re.compile(r"\s*([-+]?[0-9]+)\s*")
+
+
 def _positive_int_flag(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        digits = _DIGITS.fullmatch(text)
+        if digits is None:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        value = _text_int(digits[1])
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {scalar_text(value)}")
     return value
 
 
@@ -145,25 +151,25 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("run", help="run the iteration and write a JSONL trace")
     _add_problem_flags(sub, with_mode=True)
-    sub.add_argument("--out", "-o", type=Path, default=Path("trace.jsonl"), help="trace file (default trace.jsonl)")
+    sub.add_argument("--out", "-o", default="trace.jsonl", help="trace file (default trace.jsonl)")
     sub.set_defaults(handler=_cmd_run)
 
     sub = commands.add_parser("compare", help="run both weight rules side by side")
     _add_problem_flags(sub, with_mode=False)
-    sub.add_argument("--csv", type=Path, default=None, help="also write a CSV with exact values")
+    sub.add_argument("--csv", help="also write a CSV with exact values")
     sub.set_defaults(handler=_cmd_compare)
 
     sub = commands.add_parser("verify", help="check a trace against the per-step claim")
-    sub.add_argument("--trace", "-t", required=True, type=Path, help="JSONL trace file")
+    sub.add_argument("--trace", "-t", required=True, help="JSONL trace file")
     sub.add_argument("--function", "-f", required=True, help="the function the trace claims to have run")
     sub.add_argument("--delta", type=_rational_flag, default=None, help="continuity budget delta (with --m)")
     sub.add_argument("--m", type=_positive_int_flag, default=None, help="step for the continuity budget (with --delta)")
     sub.set_defaults(handler=_cmd_verify)
 
     sub = commands.add_parser("plot", help="render a trace to SVG")
-    sub.add_argument("--trace", "-t", required=True, type=Path, help="JSONL trace file")
+    sub.add_argument("--trace", "-t", required=True, help="JSONL trace file")
     sub.add_argument("--function", "-f", required=True, help="function to draw the curve of")
-    sub.add_argument("--out", "-o", type=Path, default=Path("plot.svg"), help="output file (default plot.svg)")
+    sub.add_argument("--out", "-o", default="plot.svg", help="output file (default plot.svg)")
     sub.add_argument("--samples", type=_positive_int_flag, default=512, help="curve samples (default 512)")
     sub.add_argument("--x-min", type=_rational_flag, default=None)
     sub.add_argument("--x-max", type=_rational_flag, default=None)
@@ -179,15 +185,31 @@ def _parser() -> argparse.ArgumentParser:
 
 def _make_config(args: argparse.Namespace, mode: WeightMode, stop_early: bool) -> ProblemConfig:
     backend = BACKENDS[args.backend]
+    a, b, epsilon = (_scalar(backend, args, flag) for flag in ("a", "b", "epsilon"))
     return ProblemConfig(
-        a=backend.convert(args.a),
-        b=backend.convert(args.b),
-        epsilon=backend.convert(args.epsilon),
+        a=a,
+        b=b,
+        epsilon=epsilon,
         max_steps=args.max_steps,
         weight_mode=mode,
         backend=backend,
         stop_early=stop_early,
     )
+
+
+def _scalar(backend, args: argparse.Namespace, flag: str):
+    """The flag's rational in ``backend``'s type; a float past the float range names the flag."""
+    value = getattr(args, flag)
+    try:
+        return backend.convert(value)
+    except OverflowError:
+        return _float_in_range(value, f"--{flag}")  # raises: the value is past the float range
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text``, computed before the file opens: a refused render leaves no file."""
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def _approx(value) -> str:
@@ -201,7 +223,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace = run(config, f)
     # Rendered before the trace is written: input too deep to print leaves no file.
     shown = to_text(f)
-    args.out.write_text(trace_to_jsonl(trace), encoding="utf-8")
+    _write(args.out, trace_to_jsonl(trace))
 
     backend = config.backend
     print(f"function: {shown}")
@@ -281,7 +303,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                     )
                 )
             )
-        args.csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(args.csv, "\n".join(lines) + "\n")
         print(f"wrote CSV to {args.csv}")
     return EXIT_OK
 
@@ -294,8 +316,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if (args.delta is None) != (args.m is None):
         print("verify: --delta and --m go together", file=sys.stderr)
         return EXIT_USAGE
-    text = args.trace.read_text(encoding="utf-8")
-    trace = trace_from_jsonl(text)
+    with open(args.trace, encoding="utf-8") as file:
+        trace = trace_from_jsonl(file.read())
     f = parse(args.function)
     outcomes = verifier.check_claim(trace, f)
     # The last outcome carries the earliest midpoint witness, if any.
@@ -332,8 +354,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     from .svg import PlotSpec, render_trace_svg
 
-    text = args.trace.read_text(encoding="utf-8")
-    trace = trace_from_jsonl(text)
+    with open(args.trace, encoding="utf-8") as file:
+        trace = trace_from_jsonl(file.read())
     f = parse(args.function)
     x_range = None
     if (args.x_min is None) != (args.x_max is None):
@@ -343,10 +365,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         print("plot: --y-min and --y-max go together", file=sys.stderr)
         return EXIT_USAGE
     if args.x_min is not None:
-        x_range = (float(args.x_min), float(args.x_max))
+        x_range = (_float_in_range(args.x_min, "--x-min"), _float_in_range(args.x_max, "--x-max"))
     y_range = None
     if args.y_min is not None:
-        y_range = (float(args.y_min), float(args.y_max))
+        y_range = (_float_in_range(args.y_min, "--y-min"), _float_in_range(args.y_max, "--y-max"))
     spec = PlotSpec(
         function=f,
         trace=trace,
@@ -354,7 +376,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         y_range=y_range,
         samples=args.samples,
     )
-    args.out.write_text(render_trace_svg(spec), encoding="utf-8")
+    _write(args.out, render_trace_svg(spec))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -378,7 +400,7 @@ _FAILURES = (
 )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

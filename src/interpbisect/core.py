@@ -46,12 +46,12 @@ first field that departs.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import isfinite
-from typing import Iterator, Optional, Tuple, Union
 
 from .funcdsl import FunctionExpr, eval_exact, eval_float
 from .numerics import _PLAIN, _aligned, _DenTexts, _int_text, _read_pair, _text_int
@@ -77,7 +77,7 @@ __all__ = [
     "trace_from_jsonl",
 ]
 
-Scalar = Union[Fraction, float]
+Scalar = Fraction | float
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -137,7 +137,7 @@ class ExactBackend:
         # test ``backend is EXACT``.
         return "EXACT"
 
-    def convert(self, value: Union[int, str, Fraction, float]) -> Fraction:
+    def convert(self, value: int | str | Fraction | float) -> Fraction:
         """Coerce ``value`` into a Fraction.
 
         Binary floats are refused outright: a float has no canonical
@@ -173,12 +173,12 @@ class ExactBackend:
         """
         dens = {}
 
-        def read(match, k: int) -> Optional[list]:
+        def read(match, k: int) -> list | None:
             groups = match.groups()
             values = [_read_pair(groups[i], groups[i + 1], dens) for i in range(0, 2 * k, 2)]
             return None if None in values else values
 
-        def read_step(match, n: int) -> Optional[StepRecord]:
+        def read_step(match, n: int) -> StepRecord | None:
             _, an, ad, bn, bd, cn, cd, fn, fd, dn, dd = match.groups()
             a = _read_pair(an, ad, dens)
             b = _read_pair(bn, bd, dens)
@@ -236,7 +236,7 @@ class FloatBackend:
     def __reduce__(self) -> str:
         return "FLOAT64"
 
-    def convert(self, value: Union[int, str, Fraction, float]) -> float:
+    def convert(self, value: int | str | Fraction | float) -> float:
         """Coerce ``value`` into a float; text is read as an exact rational first."""
         if isinstance(value, str):
             return float(parse_rational(value))
@@ -373,8 +373,8 @@ class Trace(Record):
 
     __slots__ = ("config", "steps", "limit_estimate", "limit_error_bound", "stopped_early_at")
 
-    def __init__(self, config: ProblemConfig, steps: Tuple[StepRecord, ...], limit_estimate: Scalar,
-                 limit_error_bound: Scalar, stopped_early_at: Optional[int] = None):
+    def __init__(self, config: ProblemConfig, steps: tuple[StepRecord, ...], limit_estimate: Scalar,
+                 limit_error_bound: Scalar, stopped_early_at: int | None = None):
         if not steps:
             raise ValueError("a trace records at least one step")
         self._init(config, steps, limit_estimate, limit_error_bound, stopped_early_at)
@@ -399,7 +399,7 @@ def _is_witness(f_c: Scalar, epsilon: Scalar) -> bool:
     return abs(f_c) < epsilon
 
 
-def _first_witness_record(trace: Trace) -> Optional[StepRecord]:
+def _first_witness_record(trace: Trace) -> StepRecord | None:
     """The earliest record with |f(c_n)| < epsilon, or None; under EXACT, the verifier's midpoint witness."""
     return next((rec for rec in trace.steps if _is_witness(rec.f_c_n, trace.config.epsilon)), None)
 

@@ -35,9 +35,8 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
-from typing import List, Tuple, Union
 
-from .numerics import _aligned, _text_int, reduced, scalar_text
+from .numerics import _aligned, _float_in_range, _text_int, reduced, scalar_text
 from .record import Record, init_field
 
 __all__ = [
@@ -145,7 +144,7 @@ class Abs(_Unary):
     __slots__ = ()
 
 
-FunctionExpr = Union[Var, RationalConst, Neg, Add, Sub, Mul, Div, Pow, Min, Max, Abs]
+FunctionExpr = Var | RationalConst | Neg | Add | Sub | Mul | Div | Pow | Min | Max | Abs
 
 
 class ParseError(ValueError):
@@ -164,7 +163,7 @@ class ParseError(ValueError):
 class EvalError(ArithmeticError):
     """Division by zero during evaluation, located by a path of node labels."""
 
-    def __init__(self, x, path: Tuple[str, ...]):
+    def __init__(self, x, path: tuple[str, ...]):
         self.x = x
         self.path = tuple(path)
         where = "/".join(self.path) or "(root)"
@@ -208,7 +207,7 @@ class EvalError(ArithmeticError):
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
 
-def _lower(expr: FunctionExpr, path: Tuple[str, ...], node, fold, kernel=None):
+def _lower(expr: FunctionExpr, path: tuple[str, ...], node, fold, kernel=None):
     """``(code, const)``: ``expr`` as backend code, and its value if x-free, else None.
 
     ``node(expr, path, kids)`` makes that pair for one node from its
@@ -224,7 +223,7 @@ def _lower(expr: FunctionExpr, path: Tuple[str, ...], node, fold, kernel=None):
     return kernel(terms) if code is None else code, const
 
 
-def _walk(expr: FunctionExpr, path: Tuple[str, ...], node, fold, kernel):
+def _walk(expr: FunctionExpr, path: tuple[str, ...], node, fold, kernel):
     """``(code, const, terms)`` for ``_lower``.
 
     ``terms`` is the subtree's polynomial {k: c_k} (None if it is none,
@@ -330,7 +329,7 @@ def _exact_fold(fn):
     return _exact_const(Fraction(*fn(0, 1)))
 
 
-def _exact_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
+def _exact_node(expr: FunctionExpr, path: tuple[str, ...], kids):
     """``(fn, const)`` for one node but a constant: ``fn(xn, xd)`` is its value pair at x = xn/xd."""
     kind = type(expr)
     if kind is Var:
@@ -449,7 +448,7 @@ def _float_fold(fn):
     return (lambda x: value), value
 
 
-def _float_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
+def _float_node(expr: FunctionExpr, path: tuple[str, ...], kids):
     """``(fn, const)`` for one node: fn(x) in IEEE binary64, const its value without x."""
     kind = type(expr)
     if kind is Var:
@@ -460,7 +459,7 @@ def _float_node(expr: FunctionExpr, path: Tuple[str, ...], kids):
             c = float(q)
         except OverflowError:
             # Out of float range: raise at every evaluation, not at compile time.
-            return (lambda x: float(q)), None
+            return (lambda x: _float_in_range(q, "constant")), None
         return (lambda x: c), c
     f = kids[0][0]
     if kind is Neg:
@@ -554,7 +553,7 @@ _TOKEN_RE = re.compile(
 _END = "end of input"
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """``(kind, text, pos)`` per token, ending with ``("end", "", len(text))``.
 
     A kind is 'name', 'int' or 'decimal', or the operator itself.  A

@@ -28,7 +28,8 @@ Two conversion rules live here only.  :func:`_int_text` and
 :func:`_text_int` convert an int to and from text of any length, through
 Decimal past CPython's 4,300-digit limit (``sys.get_int_max_str_digits``).
 :func:`_to_float` gives +inf or -inf where ``float()`` raises
-OverflowError past the largest float.
+OverflowError past the largest float, and :func:`_float_in_range` raises
+one that names the value instead.
 
 Text forms are fixed because they appear verbatim in the JSONL trace
 format: rationals render as ``num/den`` (always with the denominator,
@@ -52,7 +53,6 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, inf
-from typing import Optional, Union
 
 __all__ = [
     "reduced",
@@ -169,12 +169,20 @@ def _to_float(value) -> float:
         return inf if value > 0 else -inf
 
 
+def _float_in_range(value, name: str) -> float:
+    """``float(value)``; past the float range, OverflowError naming ``name`` and the value."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise OverflowError(f"{name} {scalar_text(value)} is past the largest float") from None
+
+
 def format_rational(q: Fraction) -> str:
     """Render ``q`` as ``num/den``, denominator always present."""
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
-def scalar_text(value: Union[Fraction, float]) -> str:
+def scalar_text(value: Fraction | float) -> str:
     """``str(value)``, for a value of any length."""
     try:
         return str(value)
@@ -182,7 +190,7 @@ def scalar_text(value: Union[Fraction, float]) -> str:
         return _int_text(value.numerator) if value.denominator == 1 else format_rational(value)
 
 
-def _read_pair(num: str, den: str, dens: dict) -> Optional[Fraction]:
+def _read_pair(num: str, den: str, dens: dict) -> Fraction | None:
     """The value of ``num/den`` for the digit texts of a :data:`_PLAIN` match; None unless in lowest terms.
 
     ``dens`` memoizes denominator text -> (d, k, p) with d = 2^k p, p odd,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
 
 from .core import Trace
 from .funcdsl import EvalError, FunctionExpr, eval_float, to_text
@@ -33,8 +32,8 @@ class PlotSpec(Record):
 
     __slots__ = ("function", "trace", "x_range", "y_range", "samples")
 
-    def __init__(self, function: FunctionExpr, trace: Trace, x_range: Optional[Tuple[float, float]] = None,
-                 y_range: Optional[Tuple[float, float]] = None, samples: int = 512):
+    def __init__(self, function: FunctionExpr, trace: Trace, x_range: tuple[float, float] | None = None,
+                 y_range: tuple[float, float] | None = None, samples: int = 512):
         self._init(function, trace, x_range, y_range, samples)
 
 
@@ -81,7 +80,7 @@ def render_trace_svg(spec: PlotSpec) -> str:
         raise PlotError(f"degenerate x range [{x_lo}, {x_hi}]")
 
     xs = [x_lo + i * (x_hi - x_lo) / (spec.samples - 1) for i in range(spec.samples)]
-    ys: List[float] = []
+    ys: list[float] = []
     for x in xs:
         try:
             ys.append(eval_float(f, x))
@@ -118,7 +117,7 @@ def render_trace_svg(spec: PlotSpec) -> str:
         p = top + (y_hi - y) / (y_hi - y_lo) * plot_h
         return p if math.isfinite(p) else top if y > 0 else top + plot_h
 
-    parts: List[str] = []
+    parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
@@ -184,7 +183,7 @@ def render_trace_svg(spec: PlotSpec) -> str:
         )
 
     # The curve breaks at each pole or non-finite sample and restarts with M.
-    commands: List[str] = []
+    commands: list[str] = []
     cmd = "M"
     for x, y in zip(xs, ys):
         if math.isfinite(y):

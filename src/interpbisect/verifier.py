@@ -29,13 +29,13 @@ x-dependent or zero divisor is evaluated point by point instead.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import compress, count, repeat
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterator, List, Optional, Tuple, Union
 
 from .core import EXACT, BackendNotExact, StepRecord, Trace, _is_witness, _require_int, cauchy_bound
 from .funcdsl import Abs, Div, FunctionExpr, Max, Min, Mul, Neg, Pow, Sub, Var
@@ -76,7 +76,7 @@ class Violation(Record):
         init_field(self, "detail", detail)
 
 
-ClaimCase = Union[WitnessFound, SignsStraddle, Violation]
+ClaimCase = WitnessFound | SignsStraddle | Violation
 
 
 class ClaimOutcome(Record):
@@ -107,7 +107,7 @@ class WitnessCertificate(Record):
 
     __slots__ = ("kind", "x", "f_x", "index")
 
-    def __init__(self, kind: WitnessKind, x: Fraction, f_x: Fraction, index: Optional[int] = None):
+    def __init__(self, kind: WitnessKind, x: Fraction, f_x: Fraction, index: int | None = None):
         self._init(kind, x, f_x, index)
 
 
@@ -139,16 +139,14 @@ def _require_exact(trace: Trace) -> None:
         )
 
 
-def _earliest_witness(
-    trace: Trace, f: FunctionExpr
-) -> Iterator[Tuple[StepRecord, Optional[WitnessFound]]]:
+def _earliest_witness(trace: Trace, f: FunctionExpr) -> Iterator[tuple[StepRecord, WitnessFound | None]]:
     """Yield each step with the earliest midpoint witness up to it, or None.
 
     f(c_n) is evaluated one step at a time, and no longer once a witness
     is found, so a caller that evaluates more per step keeps step order.
     """
     epsilon = trace.config.epsilon
-    witness: Optional[WitnessFound] = None
+    witness: WitnessFound | None = None
     for rec in trace.steps:
         if witness is None:
             f_c = eval_exact(f, rec.c_n)
@@ -157,7 +155,7 @@ def _earliest_witness(
         yield rec, witness
 
 
-def check_claim(trace: Trace, f: FunctionExpr) -> List[ClaimOutcome]:
+def check_claim(trace: Trace, f: FunctionExpr) -> list[ClaimOutcome]:
     """Classify every step of an exact trace against the disjunction.
 
     The function is re-evaluated at the recorded points (midpoints for
@@ -169,7 +167,7 @@ def check_claim(trace: Trace, f: FunctionExpr) -> List[ClaimOutcome]:
         BackendNotExact: for float traces.
     """
     _require_exact(trace)
-    outcomes: List[ClaimOutcome] = []
+    outcomes: list[ClaimOutcome] = []
     for rec, witness in _earliest_witness(trace, f):
         if witness is not None:
             outcomes.append(ClaimOutcome(m=rec.n, case=witness))
@@ -204,9 +202,7 @@ def extract_witness(trace: Trace, f: FunctionExpr) -> WitnessCertificate:
     return _witness_certificate(trace, f, found)
 
 
-def _witness_certificate(
-    trace: Trace, f: FunctionExpr, found: Optional[WitnessFound]
-) -> WitnessCertificate:
+def _witness_certificate(trace: Trace, f: FunctionExpr, found: WitnessFound | None) -> WitnessCertificate:
     """The MIDPOINT certificate of ``found``, else the limit estimate as a candidate.
 
     ``found`` is the earliest midpoint witness, as the last outcome of
@@ -302,7 +298,7 @@ def _grid_fold(code):
     return _grid_const(Fraction(next(f(range(1))), s))
 
 
-def _grid_node(den: int, expr: FunctionExpr, path: Tuple[str, ...], kids):
+def _grid_node(den: int, expr: FunctionExpr, path: tuple[str, ...], kids):
     """The grid pair for one node but a constant on the points x = u/den (see _lower)."""
     kind = type(expr)
     if kind is Var:
@@ -425,7 +421,7 @@ def grid_oracle(
     b: Fraction,
     epsilon: Fraction,
     grid_n: int,
-) -> Optional[WitnessCertificate]:
+) -> WitnessCertificate | None:
     """Scan a + k(b - a)/grid_n for k = 0..grid_n, exactly.
 
     Returns the first grid point with |f| < epsilon as a GRID
@@ -529,9 +525,9 @@ def _witness_to_json(cert: WitnessCertificate) -> dict:
 
 def report_to_json(
     trace: Trace,
-    outcomes: List[ClaimOutcome],
+    outcomes: list[ClaimOutcome],
     witness: WitnessCertificate,
-    budget: Optional[ContinuityBudget] = None,
+    budget: ContinuityBudget | None = None,
 ) -> dict:
     """Bundle verification results into one JSON-serializable report."""
     violations = sum(1 for o in outcomes if isinstance(o.case, Violation))

@@ -181,6 +181,28 @@ class TestRun:
         assert (code, err) == (EXIT_OK, "")
         assert stdout.startswith("function: x-") and "\nwrote 3 steps to " in stdout
 
+    @pytest.mark.digit_limit
+    def test_integer_flags_of_any_length(self, tmp_path, capsys):
+        huge = "1" + "0" * 5000
+        trace = tmp_path / "t.jsonl"
+        code, stdout, err = run_cli(
+            ["run", "-f", "x", "--a=-1", "--b", "1", "-e", "1/3", "--max-steps", huge,
+             "--stop-early", "--out", trace],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "stopped early at step 1" in stdout
+        assert run_cli(["verify", "-t", trace, "-f", "x"], capsys)[0] == EXIT_OK
+        code, _, err = run_cli(["plot", "-t", trace, "-f", "x", "--samples", huge,
+                                "--out", tmp_path / "p.svg"], capsys)
+        assert code == EXIT_USAGE
+        assert err == f"error: at most 65536 curve samples, got {huge}\n"
+        assert not (tmp_path / "p.svg").exists()
+        code, _, err = run_cli(["run", "-f", "x", "--a=-1", "--b", "1", "-e", "1/3",
+                                "--max-steps", "-" + huge], capsys)
+        assert code == EXIT_USAGE
+        assert err.endswith(f"argument --max-steps: must be at least 1, got -{huge}\n")
+
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(["run", "-f", "x", "--a", "-1", "--b", "1"], capsys)
         assert code == EXIT_USAGE
@@ -912,15 +934,16 @@ class TestBeyondFloatRange:
         ]
 
     @pytest.mark.parametrize(
-        "args",
+        "args,named",
         [
-            ["run", "--backend", "float", "-f", "x", "--a=-1", "--b", BIG, "-e", "1/3"],
-            ["run", "--backend", "float", "-f", f"x - {BIG}", "--a=-1", "--b", "1", "-e", "1/3"],
-            ["plot", "-f", "x", "--x-min", "0", "--x-max", BIG],
+            (["run", "--backend", "float", "-f", "x", "--a=-1", "--b", BIG, "-e", "1/3"], "--b"),
+            (["run", "--backend", "float", "-f", f"x - {BIG}", "--a=-1", "--b", "1", "-e", "1/3"],
+             "constant"),
+            (["plot", "-f", "x", "--x-min", "0", "--x-max", BIG], "--x-max"),
         ],
         ids=["float-endpoint", "float-constant", "plot-range"],
     )
-    def test_float_inputs_are_usage_errors(self, tmp_path, capsys, args):
+    def test_float_inputs_are_usage_errors(self, tmp_path, capsys, args, named):
         trace = tmp_path / "t.jsonl"
         assert run_cli(RUN_SAMPLE + ["--max-steps", "3", "--out", trace], capsys)[0] == EXIT_OK
         if args[0] == "plot":
@@ -928,6 +951,10 @@ class TestBeyondFloatRange:
         code, _, err = run_cli(args + ["--out", tmp_path / "out"], capsys)
         assert code == EXIT_USAGE
         assert err.startswith("float range: ") and err.count("\n") == 1
+        # The CLI's own words: the flag or the constant, and its value.
+        assert err == f"float range: {named} {self.BIG} is past the largest float\n"
+        assert "integer division" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestInProcessCalls:
@@ -970,9 +997,10 @@ class TestInProcessCalls:
         assert sorted(first[1]) == ["compare.csv", "exact.jsonl", "float.jsonl", "plot.svg"]
 
 
-# Run by a fresh interpreter: the modules ``import interpbisect,
-# interpbisect.cli`` loads, then what a star import binds and what the
-# lazily loaded names resolve to.
+# Run by a fresh interpreter without the site hook (python -S, as
+# _probe runs it): the modules ``import interpbisect, interpbisect.cli``
+# loads, then what a star import binds and what the lazily loaded names
+# resolve to.
 _IMPORT_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -1007,10 +1035,22 @@ print(repr(sorted(name for name in ("json", "json.decoder") if name in sys.modul
 """
 
 
+# Run by a fresh interpreter: which of typing and pathlib are loaded once
+# the verifier and the renderer are, after the CLI, as verify and plot load them.
+_COMMANDS_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import interpbisect.cli
+import interpbisect.verifier, interpbisect.svg
+print(repr([name for name in ("typing", "pathlib") if name in sys.modules]))
+"""
+
+
 def _probe(script):
+    # -S: a site hook could load typing or pathlib before the probe starts.
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(src)],
+        [sys.executable, "-S", "-c", script, str(src)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
@@ -1022,7 +1062,10 @@ def _probe(script):
 class TestImport:
     def test_the_cli_import_loads_only_what_every_command_needs(self):
         loaded, grid, star, public, lazy = _probe(_IMPORT_PROBE)
-        unwanted = ["dataclasses", "inspect", "json", "interpbisect.verifier", "interpbisect.svg"]
+        unwanted = [
+            "dataclasses", "inspect", "json", "typing", "pathlib",
+            "interpbisect.verifier", "interpbisect.svg",
+        ]
         assert [name for name in unwanted if name in loaded] == []
         # The grid builder lives beside grid_oracle, its one caller.
         assert grid == []
@@ -1033,6 +1076,9 @@ class TestImport:
             "interpbisect.svg.render_trace_svg",
             "interpbisect.svg.PlotError",
         ]
+
+    def test_verify_and_plot_load_neither_typing_nor_pathlib(self):
+        assert _probe(_COMMANDS_PROBE) == []
 
     def test_the_trace_reader_loads_no_json(self):
         # Every trace line is read in the writer's grammar, not as JSON.
